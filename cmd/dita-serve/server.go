@@ -2,6 +2,7 @@ package main
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"sort"
@@ -136,9 +137,7 @@ func (s *Server) startTickers() {
 					return
 				case <-tk.C:
 					now := s.cfg.simNow()
-					r.mu.Lock()
-					s.fireLocked(r, now)
-					r.mu.Unlock()
+					r.locked(func() { s.fireLocked(r, now) })
 				}
 			}
 		}()
@@ -160,9 +159,8 @@ func (s *Server) Drain() error {
 		}
 		for _, name := range s.names {
 			r := s.regions[name]
-			r.mu.Lock()
-			csv := engine.AssignCSV(r.instants)
-			r.mu.Unlock()
+			var csv []byte
+			r.locked(func() { csv = engine.AssignCSV(r.instants) })
 			if err := atomicio.WriteFile(s.cfg.csvPath, csv, 0o644); err != nil {
 				s.drainErr = fmt.Errorf("serve: drain CSV: %w", err)
 				return
@@ -170,6 +168,41 @@ func (s *Server) Drain() error {
 		}
 	})
 	return s.drainErr
+}
+
+// locked runs fn with the region lock held. The unlock is deferred, so a
+// panic inside fn still releases the region instead of wedging every
+// later request, the metrics endpoint and the drain behind it.
+func (r *region) locked(fn func()) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	fn()
+}
+
+// arrive applies an arrival event under the region lock and, when the
+// trigger asks for it, fires an instant at time at inside the same
+// critical section.
+func (s *Server) arrive(r *region, ev engine.Event, at float64) (ap engine.Applied, ir *engine.InstantResult, err error) {
+	r.locked(func() {
+		ap, err = r.eng.Apply(ev)
+		if err == nil && ap.FireNow {
+			res := s.fireLocked(r, at)
+			ir = &res
+		}
+	})
+	return ap, ir, err
+}
+
+// writeArriveErr maps an arrival's Apply error to its status: a payload
+// outside the trained framework is the client's fault (400), anything
+// else the server's (500).
+func writeArriveErr(w http.ResponseWriter, err error) {
+	var inv *engine.InvalidEventError
+	if errors.As(err, &inv) {
+		writeErr(w, http.StatusBadRequest, err.Error())
+		return
+	}
+	writeErr(w, http.StatusInternalServerError, err.Error())
 }
 
 // fireLocked runs one instant with r.mu held and updates the region's
@@ -277,22 +310,20 @@ func (s *Server) handleWorkerArrive(w http.ResponseWriter, req *http.Request) {
 		writeErr(w, http.StatusBadRequest, "negative radius")
 		return
 	}
-	r.mu.Lock()
-	ap, err := r.eng.Apply(engine.Event{
+	ap, ir, err := s.arrive(r, engine.Event{
 		Kind: engine.WorkerArrive, At: body.At,
 		Worker: engine.WorkerArrival{
 			User: model.WorkerID(body.User), Loc: geo.Point{X: body.X, Y: body.Y},
 			Radius: body.Radius, At: body.At,
 		},
-	})
-	resp := map[string]any{"worker_id": ap.WorkerID}
-	if err == nil && ap.FireNow {
-		resp["instant"] = toInstantResp(s.fireLocked(r, body.At))
-	}
-	r.mu.Unlock()
+	}, body.At)
 	if err != nil {
-		writeErr(w, http.StatusInternalServerError, err.Error())
+		writeArriveErr(w, err)
 		return
+	}
+	resp := map[string]any{"worker_id": ap.WorkerID}
+	if ir != nil {
+		resp["instant"] = toInstantResp(*ir)
 	}
 	writeJSON(w, http.StatusOK, resp)
 }
@@ -317,22 +348,20 @@ func (s *Server) handleTaskArrive(w http.ResponseWriter, req *http.Request) {
 	for i, c := range body.Categories {
 		cats[i] = model.CategoryID(c)
 	}
-	r.mu.Lock()
-	ap, err := r.eng.Apply(engine.Event{
+	ap, ir, err := s.arrive(r, engine.Event{
 		Kind: engine.TaskArrive, At: body.Publish,
 		Task: engine.TaskArrival{
 			Loc: geo.Point{X: body.X, Y: body.Y}, Publish: body.Publish,
 			Valid: body.Valid, Categories: cats, Venue: model.VenueID(body.Venue),
 		},
-	})
-	resp := map[string]any{"task_id": ap.TaskID}
-	if err == nil && ap.FireNow {
-		resp["instant"] = toInstantResp(s.fireLocked(r, body.Publish))
-	}
-	r.mu.Unlock()
+	}, body.Publish)
 	if err != nil {
-		writeErr(w, http.StatusInternalServerError, err.Error())
+		writeArriveErr(w, err)
 		return
+	}
+	resp := map[string]any{"task_id": ap.TaskID}
+	if ir != nil {
+		resp["instant"] = toInstantResp(*ir)
 	}
 	writeJSON(w, http.StatusOK, resp)
 }
@@ -349,9 +378,10 @@ func (s *Server) handleWorkerDepart(w http.ResponseWriter, req *http.Request) {
 	if !ok {
 		return
 	}
-	r.mu.Lock()
-	_, err := r.eng.Apply(engine.Event{Kind: engine.WorkerDepart, WorkerID: model.WorkerID(id)})
-	r.mu.Unlock()
+	var err error
+	r.locked(func() {
+		_, err = r.eng.Apply(engine.Event{Kind: engine.WorkerDepart, WorkerID: model.WorkerID(id)})
+	})
 	if err != nil {
 		writeErr(w, http.StatusNotFound, err.Error())
 		return
@@ -371,9 +401,10 @@ func (s *Server) handleTaskWithdraw(w http.ResponseWriter, req *http.Request) {
 	if !ok {
 		return
 	}
-	r.mu.Lock()
-	_, err := r.eng.Apply(engine.Event{Kind: engine.TaskExpire, TaskID: model.TaskID(id)})
-	r.mu.Unlock()
+	var err error
+	r.locked(func() {
+		_, err = r.eng.Apply(engine.Event{Kind: engine.TaskExpire, TaskID: model.TaskID(id)})
+	})
 	if err != nil {
 		writeErr(w, http.StatusNotFound, err.Error())
 		return
@@ -393,9 +424,8 @@ func (s *Server) handleInstant(w http.ResponseWriter, req *http.Request) {
 	if !decodeJSON(w, req, &body) {
 		return
 	}
-	r.mu.Lock()
-	ir := s.fireLocked(r, body.At)
-	r.mu.Unlock()
+	var ir engine.InstantResult
+	r.locked(func() { ir = s.fireLocked(r, body.At) })
 	writeJSON(w, http.StatusOK, toInstantResp(ir))
 }
 
@@ -425,21 +455,21 @@ func (s *Server) handleMetrics(w http.ResponseWriter, req *http.Request) {
 	if r == nil {
 		return
 	}
-	r.mu.Lock()
 	var m metricsResp
-	m.Region = r.name
-	m.Online = r.eng.Online()
-	m.Open = r.eng.Open()
-	m.Pending = r.eng.Pending()
-	m.Totals = r.eng.Totals()
-	m.Latency.PrepareTotalMs = durMs(r.sumPrepare)
-	m.Latency.PrepareMaxMs = durMs(r.maxPrepare)
-	m.Latency.PairMaintTotalMs = durMs(r.sumPairMaint)
-	m.Latency.AssignTotalMs = durMs(r.sumAssign)
-	m.LastInstant.At = r.lastAt
-	m.LastInstant.Assigned = r.lastAssigned
-	m.LastInstant.QueueDepth = r.lastDepth
-	r.mu.Unlock()
+	r.locked(func() {
+		m.Region = r.name
+		m.Online = r.eng.Online()
+		m.Open = r.eng.Open()
+		m.Pending = r.eng.Pending()
+		m.Totals = r.eng.Totals()
+		m.Latency.PrepareTotalMs = durMs(r.sumPrepare)
+		m.Latency.PrepareMaxMs = durMs(r.maxPrepare)
+		m.Latency.PairMaintTotalMs = durMs(r.sumPairMaint)
+		m.Latency.AssignTotalMs = durMs(r.sumAssign)
+		m.LastInstant.At = r.lastAt
+		m.LastInstant.Assigned = r.lastAssigned
+		m.LastInstant.QueueDepth = r.lastDepth
+	})
 	writeJSON(w, http.StatusOK, m)
 }
 

@@ -11,6 +11,7 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 
 	"dita/internal/assign"
 	"dita/internal/core"
@@ -221,6 +222,104 @@ func TestServeMalformedPayloadsRejected(t *testing.T) {
 	do(t, "GET", ts.URL+"/v1/default/metrics", nil, &m)
 	if m.Online != 0 || m.Open != 0 || m.Totals.Events != 0 {
 		t.Fatalf("rejected payloads mutated state: %+v", m)
+	}
+}
+
+// TestServeRejectsInvalidArrivals: arrivals outside the trained
+// framework — a user outside the social graph, a category outside the
+// LDA vocabulary, a venue outside the entropy table — get a 400 and
+// change nothing. The region must keep serving afterwards: metrics, a
+// valid instant, and a drain that writes the CSV.
+func TestServeRejectsInvalidArrivals(t *testing.T) {
+	fw, data := testFramework(t)
+	csvPath := filepath.Join(t.TempDir(), "serve.csv")
+	srv, ts := testServer(t, fw, serverConfig{
+		engine:  engine.Config{Trigger: engine.ManualTrigger{}},
+		csvPath: csvPath,
+	})
+	cases := []struct {
+		name, path string
+		body       any
+	}{
+		{"negative user", "/v1/default/workers", workerReq{User: -1, Radius: 5, At: 96}},
+		{"user past graph", "/v1/default/workers", workerReq{User: int32(fw.Graph().N()), Radius: 5, At: 96}},
+		{"negative category", "/v1/default/tasks", taskReq{Publish: 96, Valid: 3, Categories: []int32{-4}}},
+		{"category past vocabulary", "/v1/default/tasks", taskReq{Publish: 96, Valid: 3, Categories: []int32{int32(fw.LDA().Vocab())}}},
+		{"negative venue", "/v1/default/tasks", taskReq{Publish: 96, Valid: 3, Venue: -1}},
+		{"venue past table", "/v1/default/tasks", taskReq{Publish: 96, Valid: 3, Venue: int32(fw.Entropy().VenueSpan())}},
+	}
+	for _, c := range cases {
+		if code := do(t, "POST", ts.URL+c.path, c.body, nil); code != http.StatusBadRequest {
+			t.Errorf("%s: status %d, want 400", c.name, code)
+		}
+	}
+	var m metricsResp
+	if code := do(t, "GET", ts.URL+"/v1/default/metrics", nil, &m); code != 200 {
+		t.Fatalf("metrics after rejected arrivals: status %d", code)
+	}
+	if m.Online != 0 || m.Open != 0 || m.Totals.Events != 0 || m.Totals.Instants != 0 {
+		t.Fatalf("rejected arrivals mutated state: %+v", m)
+	}
+
+	// Valid traffic still flows, an instant assigns it, and the drain
+	// completes.
+	ws, tks, err := trace.Build(data, trace.Params{Arrivals: 6, Seed: 3, Start: 96, Spread: 1, RadiusKm: 25, ValidMin: 4, ValidSpan: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, wa := range ws {
+		body := workerReq{User: int32(wa.User), X: wa.Loc.X, Y: wa.Loc.Y, Radius: wa.Radius, At: wa.At}
+		if code := do(t, "POST", ts.URL+"/v1/default/workers", body, nil); code != 200 {
+			t.Fatalf("valid worker after rejections: status %d", code)
+		}
+	}
+	for _, ta := range tks {
+		cats := make([]int32, len(ta.Categories))
+		for i, c := range ta.Categories {
+			cats[i] = int32(c)
+		}
+		body := taskReq{X: ta.Loc.X, Y: ta.Loc.Y, Publish: ta.Publish, Valid: ta.Valid, Categories: cats, Venue: int32(ta.Venue)}
+		if code := do(t, "POST", ts.URL+"/v1/default/tasks", body, nil); code != 200 {
+			t.Fatalf("valid task after rejections: status %d", code)
+		}
+	}
+	var ir instantResp
+	if code := do(t, "POST", ts.URL+"/v1/default/instant", instantReq{At: 97}, &ir); code != 200 || ir.Online != len(ws) || len(ir.Assigned) == 0 {
+		t.Fatalf("instant after valid traffic: status %d, %+v", code, ir)
+	}
+	if code := do(t, "GET", ts.URL+"/v1/default/metrics", nil, &m); code != 200 || m.Totals.Instants != 1 {
+		t.Fatalf("metrics after valid traffic: status %d, %+v", code, m)
+	}
+	if err := srv.Drain(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := os.Stat(csvPath); err != nil {
+		t.Fatalf("drain wrote no CSV: %v", err)
+	}
+}
+
+// TestServePanickingInstantReleasesRegion: a panic inside the region's
+// critical section must not leave the region mutex held, or every later
+// request, /metrics and the drain would block forever behind it.
+func TestServePanickingInstantReleasesRegion(t *testing.T) {
+	fw, _ := testFramework(t)
+	srv, ts := testServer(t, fw, serverConfig{engine: engine.Config{Trigger: engine.ManualTrigger{}}})
+	srv.testHookFire = func() { panic("instant failed") }
+	if resp, err := http.Post(ts.URL+"/v1/default/instant", "application/json", strings.NewReader(`{"at": 1}`)); err == nil {
+		resp.Body.Close()
+		t.Fatalf("panicking instant answered %d", resp.StatusCode)
+	}
+	client := &http.Client{Timeout: 10 * time.Second}
+	resp, err := client.Get(ts.URL + "/v1/default/metrics")
+	if err != nil {
+		t.Fatalf("region wedged after a panicking instant: %v", err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("metrics after a panicking instant: status %d", resp.StatusCode)
+	}
+	if err := srv.Drain(); err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -161,11 +161,6 @@ func main() {
 		log.Fatalf("snapshot: %v", err)
 	}
 
-	start := time.Now() //dita:wallclock
-	sess := fw.PrepareSession(comps, *seed, *par)
-	ev := sess.Prepare(inst)
-	fmt.Printf("influence model (%s) prepared in %.1fs\n", comps, time.Since(start).Seconds()) //dita:wallclock
-
 	var feas []assign.Pair
 	scanTiles := 0
 	switch *pairs {
@@ -176,6 +171,11 @@ func main() {
 	default:
 		log.Fatalf("unknown -pairs mode %q (want global or tiled)", *pairs)
 	}
+
+	start := time.Now() //dita:wallclock
+	sess := fw.PrepareSession(comps, *seed, *par)
+	ev := sess.Prepare(inst, feas)
+	fmt.Printf("influence model (%s) prepared in %.1fs\n", comps, time.Since(start).Seconds()) //dita:wallclock
 	set, m, ts := fw.AssignPreparedPairsTiled(inst, ev, alg, feas, *par)
 	ts.Tiles = scanTiles
 	if err := set.Validate(len(inst.Tasks), len(inst.Workers)); err != nil {

@@ -68,9 +68,10 @@ type (
 	Metrics = core.Metrics
 	// Session is the incremental online phase: it carries per-task and
 	// per-worker influence state across assignment instants, so an
-	// instant only pays for newly arrived entities. Open one with
-	// Framework.PrepareSession; evaluators are bit-identical to cold
-	// Framework.Prepare ones for the same seed.
+	// instant only pays for newly arrived entities and newly feasible
+	// pairs. Open one with Framework.PrepareSession; its evaluators answer
+	// every declared pair bit-identically to cold Framework.Prepare ones
+	// for the same seed.
 	Session = core.Session
 )
 

@@ -119,7 +119,16 @@ func main() {
 		},
 	}
 
-	ev := fw.Prepare(inst, influence.All, 1)
+	// The table below prices every worker-task pair, feasible or not, so
+	// the evaluator is built for the full cross product rather than only
+	// the feasible pairs Framework.Prepare would declare.
+	var every []assign.Pair
+	for w := range inst.Workers {
+		for s := range inst.Tasks {
+			every = append(every, assign.Pair{W: int32(w), T: int32(s)})
+		}
+	}
+	ev := fw.Engine().Prepare(inst, every, influence.All, 1)
 
 	fmt.Println("Worker-task influence at t2 (rows: tasks s4, s5):")
 	fmt.Printf("%8s", "")

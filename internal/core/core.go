@@ -32,8 +32,8 @@ type Config struct {
 	RPO      rrr.Params      `json:"rpo"`
 	// SpeedKmH is the shared worker travel speed; default 5.
 	SpeedKmH float64 `json:"speed_kmh"`
-	// TopWillingnessLocations bounds the per-worker location set used in
-	// the dense willingness matrix; 0 keeps all locations. See
+	// TopWillingnessLocations bounds the per-worker location set each
+	// willingness entry sums over; 0 keeps all locations. See
 	// influence.Engine.TopLocations.
 	TopWillingnessLocations int `json:"top_willingness_locations"`
 	// Parallelism is the umbrella worker-pool bound for the whole
@@ -248,19 +248,23 @@ type Metrics struct {
 // component mask. The evaluator is reusable across algorithms; building
 // it is the "worker-task influence modeling" phase of DITA and is
 // deliberately excluded from the assignment CPU-time metric, matching
-// the paper's phase split. Prepare is the cold path — every call rebuilds
-// the full per-instance state; streaming callers that run many instants
-// with carry-over pools should hold a Session (PrepareSession) instead.
+// the paper's phase split. The evaluator answers the instance's feasible
+// pairs, which Prepare computes itself. Prepare is the cold path — every
+// call rebuilds the full per-instance state; streaming callers that run
+// many instants with carry-over pools should hold a Session
+// (PrepareSession) instead.
 func (f *Framework) Prepare(inst *model.Instance, comps influence.Components, seed uint64) *influence.Evaluator {
-	return f.engine.Prepare(inst, comps, seed)
+	return f.engine.Prepare(inst, assign.FeasiblePairs(inst, f.cfg.SpeedKmH), comps, seed)
 }
 
 // Session carries the online phase's influence-modeling state across
-// assignment instants: per-task willingness rows and folded topic
-// vectors, and per-worker propagation state, keyed by stable identity
-// (see influence.Session). An instant pays only for newly arrived tasks
-// and workers; state for entities that left the pool is evicted. The
-// evaluators are bit-identical to cold Prepare ones for the same seed.
+// assignment instants: per-task willingness rows (filled on demand for
+// the declared pairs) and folded topic vectors, and per-worker
+// propagation state, keyed by stable identity (see influence.Session). An
+// instant pays only for newly arrived tasks and workers and for newly
+// feasible pairs; state for entities that left the pool is evicted. The
+// evaluators answer every declared pair bit-identically to cold Prepare
+// ones for the same seed.
 type Session struct {
 	fw *Framework
 	is *influence.Session
@@ -284,10 +288,11 @@ func (f *Framework) PrepareSession(comps influence.Components, seed uint64, para
 	return &Session{fw: f, is: f.engine.NewSession(comps, seed, parallelism), par: parallelism}
 }
 
-// Prepare returns the evaluator for one instant, reusing cached state
-// for carried-over tasks and workers.
-func (s *Session) Prepare(inst *model.Instance) *influence.Evaluator {
-	return s.is.Evaluate(inst)
+// Prepare returns the evaluator for one instant's declared pairs
+// (normally the instant's feasible pairs, see Pairs), reusing cached
+// state for carried-over tasks and workers.
+func (s *Session) Prepare(inst *model.Instance, pairs []assign.Pair) *influence.Evaluator {
+	return s.is.Evaluate(inst, pairs)
 }
 
 // Pairs maintains the session's incremental feasible-pair index for one
@@ -305,14 +310,15 @@ func (s *Session) Pairs(inst *model.Instance) []assign.Pair {
 }
 
 // Assign is the session-aware one-call path for an instant: prepare the
-// evaluator through the session cache, then run the algorithm. A non-nil
-// pairs is used as-is; nil routes through the session's incremental pair
-// index (Pairs), so repeated instants pay only for pool changes.
+// evaluator for the instant's pairs through the session cache, then run
+// the algorithm. A non-nil pairs is used as-is; nil routes through the
+// session's incremental pair index (Pairs), so repeated instants pay only
+// for pool changes.
 func (s *Session) Assign(inst *model.Instance, alg assign.Algorithm, pairs []assign.Pair) (*model.AssignmentSet, Metrics) {
 	if pairs == nil {
 		pairs = s.Pairs(inst)
 	}
-	set, m, _ := s.fw.AssignPreparedPairsTiled(inst, s.is.Evaluate(inst), alg, pairs, s.par)
+	set, m, _ := s.fw.AssignPreparedPairsTiled(inst, s.is.Evaluate(inst, pairs), alg, pairs, s.par)
 	return set, m
 }
 

@@ -204,8 +204,9 @@ type InstantResult struct {
 	OnlineWorkers int
 	OpenTasks     int
 	// Prepare is the online-phase latency of the instant: the time spent
-	// building the influence evaluator (cached-session hits make this
-	// collapse for carried-over entities), or — on an instant with an
+	// building the influence evaluator for the instant's feasible pairs
+	// (cached-session hits make this collapse for carried-over entities
+	// and already-filled willingness entries), or — on an instant with an
 	// empty pool side, where no assignment runs — the session's Sync,
 	// which is the same cache maintenance without an evaluator.
 	// Assignment time is in Metrics.CPU, matching the paper's phase
@@ -254,6 +255,24 @@ var (
 	ErrUnknownTask   = errors.New("engine: no such task in the pool")
 )
 
+// InvalidEventError reports an arrival whose payload names an entity the
+// trained framework does not cover: a worker user outside the social
+// graph, a task category outside the LDA vocabulary, or a venue outside
+// the entropy table. Apply rejects such an event before it reaches the
+// pools, so a later instant can never index past a trained model.
+type InvalidEventError struct {
+	// Field names the offending payload field: "user", "category" or
+	// "venue".
+	Field string
+	// Value is the rejected value; valid values are [0, Limit).
+	Value int64
+	Limit int64
+}
+
+func (e *InvalidEventError) Error() string {
+	return fmt.Sprintf("engine: %s %d outside [0, %d)", e.Field, e.Value, e.Limit)
+}
+
 // Engine is the carry-over state between instants: the live pools, the
 // stable-id counters, and the incremental session (influence cache +
 // pair index) the instants are served through.
@@ -265,6 +284,9 @@ type Engine struct {
 	tasks   []model.Task   // published, unexpired, unassigned; ID stable since publication
 	nextTID model.TaskID
 	nextWID model.WorkerID
+	// users, vocab and venues bound the arrival payloads Apply accepts
+	// (see InvalidEventError).
+	users, vocab, venues int64
 	// usedW/usedT are reusable retirement marks sized to the pools, so
 	// the hot instant loop rebuilds no maps.
 	usedW, usedT []bool
@@ -282,7 +304,12 @@ func New(fw *core.Framework, cfg Config) (*Engine, error) {
 	if cfg.Components == 0 {
 		cfg.Components = influence.All
 	}
-	e := &Engine{fw: fw, cfg: cfg}
+	e := &Engine{
+		fw: fw, cfg: cfg,
+		users:  int64(fw.Graph().N()),
+		vocab:  int64(fw.LDA().Vocab()),
+		venues: int64(fw.Entropy().VenueSpan()),
+	}
 	if !cfg.ColdPrepare {
 		e.sess = fw.PrepareSession(cfg.Components, cfg.Seed, cfg.Parallelism)
 		if cfg.SessionCapacity > 0 {
@@ -293,13 +320,17 @@ func New(fw *core.Framework, cfg Config) (*Engine, error) {
 }
 
 // Apply applies one event. Arrival events mint and return the entity's
-// stable platform id; departure events fail with ErrUnknownWorker /
-// ErrUnknownTask when the id is not pooled; InstantFire runs the instant
-// and returns its result.
+// stable platform id, or fail with an *InvalidEventError (and change
+// nothing) when the payload is outside the trained framework; departure
+// events fail with ErrUnknownWorker / ErrUnknownTask when the id is not
+// pooled; InstantFire runs the instant and returns its result.
 func (e *Engine) Apply(ev Event) (Applied, error) {
 	switch ev.Kind {
 	case WorkerArrive:
 		a := ev.Worker
+		if err := checkRange("user", int64(a.User), e.users); err != nil {
+			return Applied{}, err
+		}
 		id := e.nextWID
 		e.workers = append(e.workers, model.Worker{
 			ID: id, User: a.User, Loc: a.Loc, Radius: a.Radius,
@@ -309,6 +340,14 @@ func (e *Engine) Apply(ev Event) (Applied, error) {
 		return Applied{WorkerID: id, FireNow: e.fireNow()}, nil
 	case TaskArrive:
 		a := ev.Task
+		for _, c := range a.Categories {
+			if err := checkRange("category", int64(c), e.vocab); err != nil {
+				return Applied{}, err
+			}
+		}
+		if err := checkRange("venue", int64(a.Venue), e.venues); err != nil {
+			return Applied{}, err
+		}
 		id := e.nextTID
 		e.tasks = append(e.tasks, model.Task{
 			ID: id, Loc: a.Loc, Publish: a.Publish,
@@ -336,6 +375,13 @@ func (e *Engine) Apply(ev Event) (Applied, error) {
 		return Applied{Instant: &ir}, nil
 	}
 	return Applied{}, fmt.Errorf("engine: unknown event kind %v", ev.Kind)
+}
+
+func checkRange(field string, v, limit int64) error {
+	if v < 0 || v >= limit {
+		return &InvalidEventError{Field: field, Value: v, Limit: limit}
+	}
+	return nil
 }
 
 func (e *Engine) eventApplied() {
@@ -383,12 +429,14 @@ func (e *Engine) clock() time.Duration {
 }
 
 // Fire runs one assignment instant at simulation time now: sweep overdue
-// tasks, snapshot the pools, prepare the influence evaluator through the
-// session (or cold), maintain the feasible pairs, solve, and retire the
-// matched pairs. An instant with an empty pool side runs no assignment
-// but still syncs the session caches — admitting arrivals ahead of the
-// next busy instant and evicting departures — with that maintenance cost
-// timed into Prepare/PairMaint exactly as a busy instant's would be.
+// tasks, snapshot the pools, maintain the feasible pairs, prepare the
+// influence evaluator for those pairs through the session (or cold),
+// solve, and retire the matched pairs. Pairs come before prepare because
+// the session computes willingness only where the feasible pairs read it.
+// An instant with an empty pool side runs no assignment but still syncs
+// the session caches — admitting arrivals ahead of the next busy instant
+// and evicting departures — with that maintenance cost timed into
+// Prepare/PairMaint exactly as a busy instant's would be.
 func (e *Engine) Fire(now float64) InstantResult {
 	e.pending = 0
 	e.totals.Instants++
@@ -428,14 +476,6 @@ func (e *Engine) Fire(now float64) InstantResult {
 
 	inst := e.instance(now)
 	t0 := e.clock()
-	var ev *influence.Evaluator
-	if e.cfg.ColdPrepare {
-		ev = e.fw.PrepareSession(e.cfg.Components, e.cfg.Seed, e.cfg.Parallelism).Prepare(inst)
-	} else {
-		ev = e.sess.Prepare(inst)
-	}
-	prep := e.clock() - t0
-	t1 := e.clock()
 	var pairs []assign.Pair
 	scanTiles := 0
 	if e.cfg.ColdPairs || e.sess == nil {
@@ -447,7 +487,15 @@ func (e *Engine) Fire(now float64) InstantResult {
 	} else {
 		pairs = e.sess.Pairs(inst)
 	}
-	pairMaint := e.clock() - t1
+	pairMaint := e.clock() - t0
+	t1 := e.clock()
+	var ev *influence.Evaluator
+	if e.cfg.ColdPrepare {
+		ev = e.fw.PrepareSession(e.cfg.Components, e.cfg.Seed, e.cfg.Parallelism).Prepare(inst, pairs)
+	} else {
+		ev = e.sess.Prepare(inst, pairs)
+	}
+	prep := e.clock() - t1
 	set, m, ts := e.fw.AssignPreparedPairsTiled(inst, ev, e.cfg.Algorithm, pairs, e.cfg.Parallelism)
 	ts.Tiles = scanTiles
 	ir := InstantResult{

@@ -388,3 +388,66 @@ func TestEngineAssignCSVByteIdentical(t *testing.T) {
 		t.Fatalf("%d CSV rows, %d assignments", len(lines)-1, assigned)
 	}
 }
+
+// TestEngineRejectsOutOfRangeArrivals: an arrival naming a user outside
+// the social graph, a category outside the LDA vocabulary or a venue
+// outside the entropy table is refused with an *InvalidEventError and
+// changes nothing, so the next instant still runs on valid pools.
+func TestEngineRejectsOutOfRangeArrivals(t *testing.T) {
+	fw, data := testFramework(t)
+	ws, ts := streams(data, 6, 3)
+	e, err := engine.New(fw, engine.Config{Algorithm: assign.IA, Seed: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	badWorker := func(u model.WorkerID) engine.Event {
+		w := ws[0]
+		w.User = u
+		return engine.Event{Kind: engine.WorkerArrive, Worker: w}
+	}
+	badTask := func(edit func(*engine.TaskArrival)) engine.Event {
+		task := ts[0]
+		task.Categories = append([]model.CategoryID(nil), task.Categories...)
+		edit(&task)
+		return engine.Event{Kind: engine.TaskArrive, Task: task}
+	}
+	users := fw.Graph().N()
+	vocab := fw.LDA().Vocab()
+	venues := fw.Entropy().VenueSpan()
+	cases := []struct {
+		name  string
+		ev    engine.Event
+		field string
+	}{
+		{"negative user", badWorker(-1), "user"},
+		{"user past graph", badWorker(model.WorkerID(users)), "user"},
+		{"negative category", badTask(func(a *engine.TaskArrival) { a.Categories[0] = -1 }), "category"},
+		{"category past vocabulary", badTask(func(a *engine.TaskArrival) {
+			a.Categories = append(a.Categories, model.CategoryID(vocab))
+		}), "category"},
+		{"negative venue", badTask(func(a *engine.TaskArrival) { a.Venue = -1 }), "venue"},
+		{"venue past table", badTask(func(a *engine.TaskArrival) { a.Venue = model.VenueID(venues) }), "venue"},
+	}
+	for _, c := range cases {
+		_, err := e.Apply(c.ev)
+		var inv *engine.InvalidEventError
+		if !errors.As(err, &inv) || inv.Field != c.field {
+			t.Errorf("%s: Apply error %v, want an InvalidEventError on %q", c.name, err, c.field)
+		}
+	}
+	if e.Online() != 0 || e.Open() != 0 || e.Pending() != 0 || e.Totals().Events != 0 {
+		t.Fatalf("rejected arrivals changed the engine: online %d open %d pending %d totals %+v",
+			e.Online(), e.Open(), e.Pending(), e.Totals())
+	}
+	for _, w := range ws {
+		if _, err := e.Apply(engine.Event{Kind: engine.WorkerArrive, Worker: w}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, task := range ts {
+		if _, err := e.Apply(engine.Event{Kind: engine.TaskArrive, Task: task}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	e.Fire(126)
+}

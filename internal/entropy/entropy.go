@@ -71,6 +71,17 @@ func (t *Table) Lookup(v model.VenueID) float64 { return t.byVenue[v] }
 // Len returns the number of venues with recorded visits.
 func (t *Table) Len() int { return len(t.byVenue) }
 
+// VenueSpan returns one past the largest venue id with recorded visits
+// (zero for an empty table): the venue ids the table covers are
+// [0, VenueSpan), where an id without visits reads as zero entropy.
+func (t *Table) VenueSpan() int {
+	span := 0
+	for v := range t.byVenue {
+		span = max(span, int(v)+1)
+	}
+	return span
+}
+
 // Max returns the largest entropy in the table (zero when empty); the
 // harness prints it to characterize datasets.
 func (t *Table) Max() float64 {

@@ -38,8 +38,8 @@ type Params struct {
 	// wall clock and therefore inflates a little under core contention;
 	// set Parallelism to 1 for figure-grade CPU measurements. Each
 	// in-flight job holds its own instance, feasible-pair list and
-	// influence evaluator (the evaluator's willingness matrix is
-	// |S|×|W_G| float32), so peak memory grows linearly with the knob —
+	// influence evaluator (a float32 willingness row over every graph
+	// user per paired task), so peak memory grows linearly with the knob —
 	// lower it on wide machines with large sweeps.
 	Parallelism int
 	// Shard restricts the sweeps to this process's slice of the
@@ -510,8 +510,8 @@ func (r *Runner) runComparison(fig int, xlabel string, xs []float64, makeInst fu
 		// inside each job (bit-identical to any other setting). Per-day
 		// seeds mix the day in via randx.Mix rather than addition, so
 		// nearby days cannot collide with nearby base seeds.
-		ev := r.FW.PrepareSession(influence.All, randx.Mix(r.P.Seed, uint64(day)), 1).Prepare(inst)
 		pairs := r.feasiblePairs(inst)
+		ev := r.FW.PrepareSession(influence.All, randx.Mix(r.P.Seed, uint64(day)), 1).Prepare(inst, pairs)
 		ms := make([]core.Metrics, len(assign.Algorithms))
 		for ai, alg := range assign.Algorithms {
 			_, m := r.FW.AssignPreparedPairs(inst, ev, alg, pairs)
@@ -545,12 +545,12 @@ func (r *Runner) runAblation(fig int, xlabel string, xs []float64, makeInst func
 		// Single-use sessions per mask (see runComparison on why each job
 		// runs its online phase at parallelism 1).
 		daySeed := randx.Mix(r.P.Seed, uint64(day))
-		evFull := r.FW.PrepareSession(influence.All, daySeed, 1).Prepare(inst)
+		evFull := r.FW.PrepareSession(influence.All, daySeed, 1).Prepare(inst, pairs)
 		ms := make([]core.Metrics, len(masks))
 		for mi, mk := range masks {
 			ev := evFull
 			if mk != influence.All {
-				ev = r.FW.PrepareSession(mk, daySeed, 1).Prepare(inst)
+				ev = r.FW.PrepareSession(mk, daySeed, 1).Prepare(inst, pairs)
 			}
 			set, m := r.FW.AssignPreparedPairs(inst, ev, assign.IA, pairs)
 			// Rescore the realized assignment under the full model.

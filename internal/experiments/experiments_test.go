@@ -96,8 +96,8 @@ func TestSharedPairsMatchPerAlgorithmRecompute(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ev := r.FW.PrepareSession(influence.All, randx.Mix(r.P.Seed, uint64(r.P.Days[0])), 1).Prepare(inst)
 	shared := r.feasiblePairs(inst)
+	ev := r.FW.PrepareSession(influence.All, randx.Mix(r.P.Seed, uint64(r.P.Days[0])), 1).Prepare(inst, shared)
 	if len(shared) == 0 {
 		t.Fatal("sweep point has no feasible pairs; the comparison gates nothing")
 	}

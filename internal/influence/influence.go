@@ -15,6 +15,9 @@
 package influence
 
 import (
+	"fmt"
+
+	"dita/internal/assign"
 	"dita/internal/lda"
 	"dita/internal/mobility"
 	"dita/internal/model"
@@ -82,9 +85,9 @@ type Engine struct {
 	LDA       *lda.Model
 	ThetaUser [][]float64
 	// TopLocations caps how many of a worker's highest-stationary-mass
-	// locations the willingness sum uses when building the dense
-	// willingness matrix; 0 means all. The truncation is a performance
-	// valve for the |W_G|×|S| matrix and preserves ≥95% of the mass on
+	// locations each willingness entry Pwil(u, s) sums over; 0 means all.
+	// The truncation bounds the cost of every computed entry (entries are
+	// computed on demand, see Session) and preserves ≥95% of the mass on
 	// heavy-tailed visit distributions.
 	TopLocations int
 	// Parallelism bounds the worker pool one-shot Prepare calls use for
@@ -115,12 +118,16 @@ type Evaluator struct {
 	// thetaW[w], thetaT[t]: topic distributions.
 	thetaW [][]float64
 	thetaT [][]float64
-	// wilRows[t][u] = Pwil(u, task t's location); float32 to halve the
-	// footprint of the |W_G|×|S| matrix. Rows are owned by the session
-	// that built the evaluator, so a carried-over task costs no copy.
+	// wilRows[t][u] = Pwil(u, task t's location) in float32, valid only
+	// where bit u of wilFill[t] is set: the session fills the entries the
+	// declared pairs read (the RRR roots of t's feasible workers, or the
+	// whole row under IA-AW). Rows are owned by the session that built the
+	// evaluator, so a carried-over task costs no copy; later instants may
+	// fill more entries but never change a filled one.
 	wilRows [][]float32
-	// wilColSum[t] = Σ_u Pwil(u, t) — used by the AW mask where the
-	// propagation factor is neutral.
+	wilFill [][]uint64
+	// wilColSum[t] = Σ_u Pwil(u, t) over the complete row — used by the AW
+	// mask where the propagation factor is neutral.
 	wilColSum []float64
 	// roots[w] lists (root, multiplicity) over RRR sets containing the
 	// instance worker w; scale converts a multiplicity into Ppro.
@@ -131,15 +138,15 @@ type Evaluator struct {
 	propSum []float64
 }
 
-// Prepare computes the per-instance state for evaluating if(w, s) on any
-// feasible pair of the instance under the given component mask. It is a
+// Prepare computes the per-instance state for evaluating if(w, s) on the
+// declared pairs of the instance under the given component mask. It is a
 // thin wrapper over a single-use Session, so a cold Prepare and a warm
-// session produce bit-identical evaluators: per-task LDA fold-in streams
-// are keyed by stable task identity (randx.Mix(seed, Task.ID)), never by
-// the task's position in the instance. Task IDs must therefore be unique
-// within the instance.
-func (e *Engine) Prepare(inst *model.Instance, comps Components, seed uint64) *Evaluator {
-	return e.NewSession(comps, seed, e.Parallelism).Evaluate(inst)
+// session answer every declared pair bit-identically: per-task LDA
+// fold-in streams are keyed by stable task identity (randx.Mix(seed,
+// Task.ID)), never by the task's position in the instance. Task IDs must
+// therefore be unique within the instance.
+func (e *Engine) Prepare(inst *model.Instance, pairs []assign.Pair, comps Components, seed uint64) *Evaluator {
+	return e.NewSession(comps, seed, e.Parallelism).Evaluate(inst, pairs)
 }
 
 // truncatedModels returns per-user willingness models limited to the
@@ -232,7 +239,9 @@ func uniformTopics(k int) []float64 {
 }
 
 // Influence returns if(w, s) for instance worker index w and task index
-// t under the evaluator's component mask.
+// t under the evaluator's component mask. When the mask includes
+// willingness, (w, t) must be one of the pairs the evaluator was built
+// for: a read of a willingness entry that was never computed panics.
 func (ev *Evaluator) Influence(w, t int) float64 {
 	aff := 1.0
 	if ev.comps&Affinity != 0 {
@@ -242,11 +251,14 @@ func (ev *Evaluator) Influence(w, t int) float64 {
 	switch {
 	case ev.comps&Propagation != 0 && ev.comps&Willingness != 0:
 		// Σ_{wi≠ws} Pwil(wi,s) · Ppro(ws,wi), via the RRR cover of ws.
-		row := ev.wilRows[t]
+		row, filled := ev.wilRows[t], ev.wilFill[t]
 		self := ev.users[w]
 		for _, rc := range ev.roots[w] {
 			if rc.root == self {
 				continue
+			}
+			if !isFilled(filled, rc.root) {
+				undeclared(w, t)
 			}
 			p := ev.scale * float64(rc.count)
 			if p > 1 {
@@ -259,12 +271,25 @@ func (ev *Evaluator) Influence(w, t int) float64 {
 		spread = ev.propSum[w]
 	case ev.comps&Willingness != 0:
 		// Propagation neutral (IA-AW): Σ_{wi≠ws} Pwil(wi, s).
-		spread = ev.wilColSum[t] - float64(ev.wilRows[t][ev.users[w]])
+		u := ev.users[w]
+		if !isFilled(ev.wilFill[t], u) {
+			undeclared(w, t)
+		}
+		spread = ev.wilColSum[t] - float64(ev.wilRows[t][u])
 	default:
 		// Neither spread factor: the influence degenerates to affinity.
 		spread = 1
 	}
 	return aff * spread
+}
+
+// isFilled reports whether bit u of a willingness fill bitset is set.
+func isFilled(filled []uint64, u int32) bool {
+	return filled[u>>6]&(1<<(uint(u)&63)) != 0
+}
+
+func undeclared(w, t int) {
+	panic(fmt.Sprintf("influence: pair (worker %d, task %d) was not declared to the evaluator; its willingness was never computed", w, t))
 }
 
 // PropagationSum returns Σ_{wi≠ws} Ppro(ws, wi) for instance worker w —

@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"dita/internal/assign"
 	"dita/internal/geo"
 	"dita/internal/lda"
 	"dita/internal/mobility"
@@ -16,15 +17,49 @@ import (
 // testWorld builds a small but fully wired engine: 30 users in a PA
 // social graph, each with a short history around one of two hot spots,
 // and an LDA model over two crisp category blocks.
-func testWorld(t *testing.T) (*Engine, *model.Instance) {
+func testWorld(t testing.TB) (*Engine, *model.Instance) {
 	t.Helper()
-	const nU = 30
-	g := socialgraph.GeneratePreferentialAttachment(nU, 2, randx.New(1))
+	eng := newWorld(t, 30, 2, 0)
+	inst := &model.Instance{Now: 100}
+	for i := 0; i < 10; i++ {
+		inst.Workers = append(inst.Workers, model.Worker{
+			ID: model.WorkerID(i), User: model.WorkerID(i * 3),
+			Loc: geo.Point{X: float64(i) * 4, Y: 2}, Radius: 25,
+		})
+	}
+	for j := 0; j < 8; j++ {
+		inst.Tasks = append(inst.Tasks, worldTask(j, j%2, 2))
+	}
+	return eng, inst
+}
+
+// worldTask is a task at community comm's hot spot (offset dx along x)
+// with a category from that community's block.
+func worldTask(id, comm int, dx float64) model.Task {
+	return model.Task{
+		ID:         model.TaskID(id),
+		Loc:        geo.Point{X: float64(comm)*40 + dx, Y: 2},
+		Publish:    100,
+		Valid:      5,
+		Categories: []model.CategoryID{model.CategoryID(comm*5 + id%5)},
+		Venue:      model.VenueID(id),
+	}
+}
+
+// newWorld builds the engine of testWorld over nU users whose social
+// graph attaches each newcomer with degree edges. When idle > 0, every
+// idle-th user has no history, hence no willingness model.
+func newWorld(t testing.TB, nU, degree, idle int) *Engine {
+	t.Helper()
+	g := socialgraph.GeneratePreferentialAttachment(nU, degree, randx.New(1))
 
 	rng := randx.New(2)
 	histories := make(map[model.WorkerID]model.History, nU)
 	docs := make([][]int32, nU)
 	for u := 0; u < nU; u++ {
+		if idle > 0 && u%idle == idle-1 {
+			continue
+		}
 		// Users alternate between two spatial/semantic communities.
 		comm := u % 2
 		base := geo.Point{X: float64(comm) * 40}
@@ -57,32 +92,24 @@ func testWorld(t *testing.T) (*Engine, *model.Instance) {
 		theta[u] = ldaModel.DocTopics(u)
 	}
 
-	eng := &Engine{
+	return &Engine{
 		Prop:      rrr.Build(g, rrr.Params{Seed: 4}),
 		Wil:       mobility.Fit(histories, mobility.Config{}),
 		LDA:       ldaModel,
 		ThetaUser: theta,
 	}
+}
 
-	inst := &model.Instance{Now: 100}
-	for i := 0; i < 10; i++ {
-		inst.Workers = append(inst.Workers, model.Worker{
-			ID: model.WorkerID(i), User: model.WorkerID(i * 3),
-			Loc: geo.Point{X: float64(i) * 4, Y: 2}, Radius: 25,
-		})
+// crossPairs declares every worker-task pair of inst, feasible or not:
+// the tests below price the full matrix.
+func crossPairs(inst *model.Instance) []assign.Pair {
+	out := make([]assign.Pair, 0, len(inst.Workers)*len(inst.Tasks))
+	for w := range inst.Workers {
+		for t := range inst.Tasks {
+			out = append(out, assign.Pair{W: int32(w), T: int32(t)})
+		}
 	}
-	for j := 0; j < 8; j++ {
-		comm := j % 2
-		inst.Tasks = append(inst.Tasks, model.Task{
-			ID:         model.TaskID(j),
-			Loc:        geo.Point{X: float64(comm)*40 + 2, Y: 2},
-			Publish:    100,
-			Valid:      5,
-			Categories: []model.CategoryID{model.CategoryID(comm*5 + j%5)},
-			Venue:      model.VenueID(j),
-		})
-	}
-	return eng, inst
+	return out
 }
 
 func TestComponentsString(t *testing.T) {
@@ -109,7 +136,7 @@ func TestComponentsString(t *testing.T) {
 func TestInfluenceNonNegativeAllMasks(t *testing.T) {
 	eng, inst := testWorld(t)
 	for _, mask := range []Components{All, WP, AP, AW} {
-		ev := eng.Prepare(inst, mask, 7)
+		ev := eng.Prepare(inst, crossPairs(inst), mask, 7)
 		for w := 0; w < len(inst.Workers); w++ {
 			for s := 0; s < len(inst.Tasks); s++ {
 				v := ev.Influence(w, s)
@@ -125,9 +152,9 @@ func TestFullInfluenceFactorization(t *testing.T) {
 	// if(All) must equal Paff × spread where spread is what WP computes,
 	// pair by pair — the masks factor exactly.
 	eng, inst := testWorld(t)
-	evAll := eng.Prepare(inst, All, 7)
-	evWP := eng.Prepare(inst, WP, 7)
-	evAW := eng.Prepare(inst, AW, 7)
+	evAll := eng.Prepare(inst, crossPairs(inst), All, 7)
+	evWP := eng.Prepare(inst, crossPairs(inst), WP, 7)
+	evAW := eng.Prepare(inst, crossPairs(inst), AW, 7)
 	for w := 0; w < len(inst.Workers); w++ {
 		for s := 0; s < len(inst.Tasks); s++ {
 			full := evAll.Influence(w, s)
@@ -152,9 +179,9 @@ func TestFullInfluenceFactorization(t *testing.T) {
 
 func TestAblationMasksDiffer(t *testing.T) {
 	eng, inst := testWorld(t)
-	evAll := eng.Prepare(inst, All, 7)
-	evAP := eng.Prepare(inst, AP, 7)
-	evAW := eng.Prepare(inst, AW, 7)
+	evAll := eng.Prepare(inst, crossPairs(inst), All, 7)
+	evAP := eng.Prepare(inst, crossPairs(inst), AP, 7)
+	evAW := eng.Prepare(inst, crossPairs(inst), AW, 7)
 	differsAP, differsAW := false, false
 	for w := 0; w < len(inst.Workers); w++ {
 		for s := 0; s < len(inst.Tasks); s++ {
@@ -177,7 +204,7 @@ func TestAblationMasksDiffer(t *testing.T) {
 
 func TestPropagationSumConsistentWithCollection(t *testing.T) {
 	eng, inst := testWorld(t)
-	ev := eng.Prepare(inst, All, 7)
+	ev := eng.Prepare(inst, crossPairs(inst), All, 7)
 	for w, worker := range inst.Workers {
 		want := eng.Prop.PropagationSum(int32(worker.User))
 		if got := ev.PropagationSum(w); math.Abs(got-want) > 1e-9 {
@@ -189,7 +216,7 @@ func TestPropagationSumConsistentWithCollection(t *testing.T) {
 func TestPropagationSumAvailableWithoutPropagationMask(t *testing.T) {
 	// The AP metric is reported even for masks that exclude propagation.
 	eng, inst := testWorld(t)
-	ev := eng.Prepare(inst, AW, 7)
+	ev := eng.Prepare(inst, crossPairs(inst), AW, 7)
 	for w, worker := range inst.Workers {
 		want := eng.Prop.PropagationSum(int32(worker.User))
 		if got := ev.PropagationSum(w); math.Abs(got-want) > 1e-9 {
@@ -204,7 +231,7 @@ func TestAffinityDrivesSemanticMatch(t *testing.T) {
 	// community-1 tasks, because affinity, willingness and location all
 	// align.
 	eng, inst := testWorld(t)
-	ev := eng.Prepare(inst, All, 7)
+	ev := eng.Prepare(inst, crossPairs(inst), All, 7)
 	sameSum, crossSum := 0.0, 0.0
 	nSame, nCross := 0, 0
 	for w, worker := range inst.Workers {
@@ -229,9 +256,9 @@ func TestAffinityDrivesSemanticMatch(t *testing.T) {
 
 func TestTopLocationsTruncationCloseToExact(t *testing.T) {
 	eng, inst := testWorld(t)
-	exact := eng.Prepare(inst, All, 7)
+	exact := eng.Prepare(inst, crossPairs(inst), All, 7)
 	eng.TopLocations = 3
-	truncated := eng.Prepare(inst, All, 7)
+	truncated := eng.Prepare(inst, crossPairs(inst), All, 7)
 	eng.TopLocations = 0
 	var maxRel float64
 	for w := 0; w < len(inst.Workers); w++ {
@@ -255,8 +282,8 @@ func TestTopLocationsTruncationCloseToExact(t *testing.T) {
 
 func TestDeterministicPrepare(t *testing.T) {
 	eng, inst := testWorld(t)
-	a := eng.Prepare(inst, All, 7)
-	b := eng.Prepare(inst, All, 7)
+	a := eng.Prepare(inst, crossPairs(inst), All, 7)
+	b := eng.Prepare(inst, crossPairs(inst), All, 7)
 	for w := 0; w < len(inst.Workers); w++ {
 		for s := 0; s < len(inst.Tasks); s++ {
 			if a.Influence(w, s) != b.Influence(w, s) {
@@ -268,7 +295,7 @@ func TestDeterministicPrepare(t *testing.T) {
 
 func TestEvaluatorDimensions(t *testing.T) {
 	eng, inst := testWorld(t)
-	ev := eng.Prepare(inst, All, 7)
+	ev := eng.Prepare(inst, crossPairs(inst), All, 7)
 	if ev.NumWorkers() != len(inst.Workers) || ev.NumTasks() != len(inst.Tasks) {
 		t.Errorf("dims %d×%d, want %d×%d",
 			ev.NumWorkers(), ev.NumTasks(), len(inst.Workers), len(inst.Tasks))

@@ -1,13 +1,24 @@
 // Session is the incremental online phase: where Engine.Prepare treats
-// every assignment instant as cold — rebuilding the full |S|×|W_G|
-// willingness matrix, re-folding every task through LDA and re-extracting
-// every worker's RRR root list — a Session carries that per-entity state
-// across instants. The streaming protocol of the paper (Section VI) keeps
-// unassigned workers online and unexpired tasks open between instants, so
-// most of an instant's state was already computed at an earlier one; a
-// Session computes influence state only for newly arrived tasks and
-// workers and evicts entries the moment their task or worker leaves the
-// pool.
+// every assignment instant as cold — re-folding every task through LDA,
+// re-extracting every worker's RRR root list and computing willingness
+// from scratch — a Session carries that per-entity state across instants.
+// The streaming protocol of the paper (Section VI) keeps unassigned
+// workers online and unexpired tasks open between instants, so most of an
+// instant's state was already computed at an earlier one; a Session
+// computes influence state only for newly arrived tasks and workers and
+// evicts entries the moment their task or worker leaves the pool.
+//
+// Willingness is filled on demand. Each Evaluate declares the instant's
+// feasible pairs up front, and under the full model (and IA-WP) the
+// influence sum reads Pwil(·, s) only at the RRR roots of the workers
+// feasible for s — so a task's willingness row holds just those entries,
+// tracked by a per-task fill bitset and extended as new workers become
+// feasible for it at later instants. Under IA-AW the sum reads the whole
+// column Σ_u Pwil(u, s), so the needed set is every user and a task's
+// row is filled completely the first time it is paired. Every entry is
+// the same float32(Pwil(u, s)) whichever instant computed it, and a query
+// for a pair the evaluator was not built for panics rather than read an
+// unfilled entry.
 //
 // Cache keys are stable identities, never instant-local positions: a task
 // is keyed by its Task.ID (which the streaming simulator keeps stable
@@ -16,18 +27,20 @@
 // stable identity — the stream seed is randx.Mix(sessionSeed, taskID) —
 // so a task's topic distribution is the same number at every instant it
 // survives, whichever instant first computed it, and a cold rebuild
-// (Engine.Prepare) reproduces the session's state bit for bit.
+// (Engine.Prepare) answers every declared pair bit for bit as the session
+// does.
 //
-// Fresh work runs in deterministic chunks on the shared internal/parallel
-// pool: each pending task or worker writes only to its own pre-inserted
-// cache entry and draws only from its identity-keyed stream, so the
-// resulting evaluator is bit-identical at any Parallelism setting.
+// Fresh work runs on the shared internal/parallel pool: each pending task
+// or worker writes only to its own pre-inserted cache entry and draws only
+// from its identity-keyed stream, and willingness fill runs one task per
+// work item, so the answers are bit-identical at any Parallelism setting.
 package influence
 
 import (
 	"fmt"
 	"sort"
 
+	"dita/internal/assign"
 	"dita/internal/mobility"
 	"dita/internal/model"
 	"dita/internal/parallel"
@@ -35,13 +48,18 @@ import (
 )
 
 // taskState is the cached per-task influence state: the task's folded
-// topic distribution (Affinity) and its willingness row plus column sum
-// over the whole social network (Willingness).
+// topic distribution (Affinity) and its on-demand willingness row
+// (Willingness).
 type taskState struct {
-	gen    uint64
-	seq    uint64 // admission order, for capacity eviction
-	theta  []float64
+	gen   uint64
+	seq   uint64 // admission order, for capacity eviction
+	theta []float64
+	// row[u] = float32(Pwil(u, task location)), valid where filled has
+	// bit u set; allocated by the first fill that computes an entry.
 	row    []float32
+	filled []uint64
+	// colSum = Σ_u Pwil(u, task location) over the complete row, set by
+	// the IA-AW fill.
 	colSum float64
 }
 
@@ -93,6 +111,17 @@ type Session struct {
 	// parallel fresh-work phase iterates them by index.
 	pendT []pendingTask
 	pendU []pendingUser
+
+	// Reusable willingness-fill scratch: the declared pairs regrouped by
+	// task (pairOff is the CSR offset array over pairW), each task's
+	// state, and the per-task count of entries the fill computed.
+	pairOff []int32
+	pairW   []int32
+	fillSt  []*taskState
+	fillN   []int
+	// wilEntries counts willingness entries computed over the session's
+	// life (one Pwil(u, s) evaluation each).
+	wilEntries uint64
 }
 
 type pendingTask struct {
@@ -136,6 +165,11 @@ func (s *Session) CachedTasks() int { return len(s.tasks) }
 // state.
 func (s *Session) CachedWorkers() int { return len(s.users) }
 
+// WillingnessEntries returns how many willingness entries Pwil(u, s) the
+// session has computed since it was created. The count is a pure function
+// of the instants and declared pairs it was fed, at any Parallelism.
+func (s *Session) WillingnessEntries() uint64 { return s.wilEntries }
+
 // SetCapacity bounds the session's carry-over memory: after each instant
 // at most n cached task states and n cached user states are retained,
 // evicting the earliest-admitted entries first (FIFO by admission
@@ -156,11 +190,16 @@ func (s *Session) SetCapacity(n int) { s.capacity = n }
 // computing fresh state — in deterministic parallel chunks — for the
 // rest. State for tasks and workers absent from inst is evicted.
 //
+// pairs declares the (worker, task) positions of inst the evaluator will
+// be asked about — typically the instant's feasible pairs. Willingness is
+// computed only where those pairs read it, so querying an undeclared
+// pair may panic; the slice is read during the call and not retained.
+//
 // Task IDs must be unique within the instance and stable across the
 // instants of a session: a given Task.ID must always denote the same
 // task (location and categories), which is exactly what the streaming
 // simulator's platform-level identities provide.
-func (s *Session) Evaluate(inst *model.Instance) *Evaluator {
+func (s *Session) Evaluate(inst *model.Instance, pairs []assign.Pair) *Evaluator {
 	nW, nT := len(inst.Workers), len(inst.Tasks)
 	nU := s.eng.Prop.Graph().N()
 	s.gen++
@@ -188,15 +227,6 @@ func (s *Session) Evaluate(inst *model.Instance) *Evaluator {
 			ev.thetaT[j] = s.tasks[uint64(inst.Tasks[j].ID)].theta
 		}
 	}
-	if s.comps&Willingness != 0 {
-		ev.wilRows = make([][]float32, nT)
-		ev.wilColSum = make([]float64, nT)
-		for j := range inst.Tasks {
-			st := s.tasks[uint64(inst.Tasks[j].ID)]
-			ev.wilRows[j] = st.row
-			ev.wilColSum[j] = st.colSum
-		}
-	}
 	ev.propSum = make([]float64, nW)
 	if s.comps&Propagation != 0 {
 		ev.scale = s.scale
@@ -209,6 +239,17 @@ func (s *Session) Evaluate(inst *model.Instance) *Evaluator {
 		}
 		ev.propSum[i] = st.propSum
 	}
+	if s.comps&Willingness != 0 {
+		s.fillWillingness(inst, ev, pairs)
+		ev.wilRows = make([][]float32, nT)
+		ev.wilFill = make([][]uint64, nT)
+		ev.wilColSum = make([]float64, nT)
+		for j, st := range s.fillSt[:nT] {
+			ev.wilRows[j] = st.row
+			ev.wilFill[j] = st.filled
+			ev.wilColSum[j] = st.colSum
+		}
+	}
 
 	s.evict()
 	return ev
@@ -217,7 +258,8 @@ func (s *Session) Evaluate(inst *model.Instance) *Evaluator {
 // Sync maintains the carry-over cache for an instant the platform skips
 // (no workers online or no tasks open): arrivals are admitted — their
 // state computed ahead of the next assignment round — and departures are
-// evicted, exactly as Evaluate would, without building an evaluator.
+// evicted, exactly as Evaluate would, without building an evaluator. No
+// pairs are declared, so no willingness is computed.
 func (s *Session) Sync(inst *model.Instance) {
 	s.gen++
 	users := make([]int32, len(inst.Workers))
@@ -259,15 +301,14 @@ func (s *Session) admitUsers(users []int32) {
 }
 
 // admitTasks stamps the instant's tasks and computes state for newly
-// arrived ones. Per-task randomness is keyed by stable task identity via
-// randx.Mix, so the computed state is independent of the task's position
-// in the instance and of which instant first computed it.
+// arrived ones: the folded topic distribution, and an empty willingness
+// fill bitset that fillWillingness extends on demand. Per-task randomness
+// is keyed by stable task identity via randx.Mix, so the computed state is
+// independent of the task's position in the instance and of which instant
+// first computed it.
 func (s *Session) admitTasks(inst *model.Instance) {
 	if s.comps&(Affinity|Willingness) == 0 {
 		return
-	}
-	if s.comps&Willingness != 0 && s.models == nil {
-		s.models = s.eng.truncatedModels(s.par)
 	}
 	s.pendT = s.pendT[:0]
 	for j := range inst.Tasks {
@@ -286,32 +327,126 @@ func (s *Session) admitTasks(inst *model.Instance) {
 		}
 		st.gen = s.gen
 	}
-	nU := s.eng.Prop.Graph().N()
+	words := (s.eng.Prop.Graph().N() + 63) / 64
 	parallel.For(s.par, len(s.pendT), func(_, i int) {
 		p := s.pendT[i]
-		task := inst.Tasks[p.j]
 		if s.comps&Affinity != 0 {
-			doc := make([]int32, len(task.Categories))
-			for k, c := range task.Categories {
+			cats := inst.Tasks[p.j].Categories
+			doc := make([]int32, len(cats))
+			for k, c := range cats {
 				doc[k] = int32(c)
 			}
 			p.st.theta = s.eng.LDA.Infer(doc, randx.Mix(s.seed, p.key))
 		}
 		if s.comps&Willingness != 0 {
-			row := make([]float32, nU)
+			p.st.filled = make([]uint64, words)
+		}
+	})
+}
+
+// fillWillingness computes the willingness entries the declared pairs
+// read and are not yet filled, leaving s.fillSt[j] as the state of task j.
+// Under a propagation mask, pair (w, t) reads task t's row at every RRR
+// root of w's cover except w's own user; without propagation (IA-AW) it
+// reads the column sum, so a paired task's row is filled completely. The
+// pairs are regrouped by task and the fill runs one task per pool item,
+// so each item writes only its own row and bitset.
+func (s *Session) fillWillingness(inst *model.Instance, ev *Evaluator, pairs []assign.Pair) {
+	if s.models == nil {
+		s.models = s.eng.truncatedModels(s.par)
+	}
+	nT := len(inst.Tasks)
+	s.fillSt = s.fillSt[:0]
+	for j := range inst.Tasks {
+		s.fillSt = append(s.fillSt, s.tasks[uint64(inst.Tasks[j].ID)])
+	}
+	// Counting sort of the pairs by task: pairOff[t]..pairOff[t+1] spans
+	// task t's workers in pairW.
+	s.pairOff = zeroed(s.pairOff, nT+1)
+	for _, p := range pairs {
+		s.pairOff[p.T+1]++
+	}
+	for t := 0; t < nT; t++ {
+		s.pairOff[t+1] += s.pairOff[t]
+	}
+	if cap(s.pairW) < len(pairs) {
+		s.pairW = make([]int32, len(pairs))
+	}
+	s.pairW = s.pairW[:len(pairs)]
+	for _, p := range pairs {
+		s.pairW[s.pairOff[p.T]] = p.W
+		s.pairOff[p.T]++
+	}
+	copy(s.pairOff[1:], s.pairOff[:nT])
+	s.pairOff[0] = 0
+
+	s.fillN = zeroed(s.fillN, nT)
+	full := s.comps&Propagation == 0
+	nU := len(s.models)
+	parallel.For(s.par, nT, func(_, t int) {
+		lo, hi := s.pairOff[t], s.pairOff[t+1]
+		if lo == hi {
+			return
+		}
+		st, loc := s.fillSt[t], inst.Tasks[t].Loc
+		if full {
+			// Under IA-AW only this complete fill allocates a row. The
+			// column sum accumulates the float64 entries in ascending user
+			// order.
+			if st.row != nil {
+				return
+			}
+			st.row = make([]float32, nU)
 			sum := 0.0
-			for u := 0; u < nU; u++ {
-				wm := s.models[u]
+			for u, wm := range s.models {
 				if wm == nil {
 					continue
 				}
-				v := wm.Willingness(task.Loc)
-				row[u] = float32(v)
+				v := wm.Willingness(loc)
+				st.row[u] = float32(v)
 				sum += v
 			}
-			p.st.row, p.st.colSum = row, sum
+			for k := range st.filled {
+				st.filled[k] = ^uint64(0)
+			}
+			st.colSum = sum
+			s.fillN[t] = nU
+			return
 		}
+		n := 0
+		for _, w := range s.pairW[lo:hi] {
+			self := ev.users[w]
+			for _, rc := range ev.roots[w] {
+				u := rc.root
+				if u == self || isFilled(st.filled, u) {
+					continue
+				}
+				if st.row == nil {
+					st.row = make([]float32, nU)
+				}
+				if wm := s.models[u]; wm != nil {
+					st.row[u] = float32(wm.Willingness(loc))
+				}
+				st.filled[u>>6] |= 1 << (uint(u) & 63)
+				n++
+			}
+		}
+		s.fillN[t] = n
 	})
+	for _, n := range s.fillN {
+		s.wilEntries += uint64(n)
+	}
+}
+
+// zeroed returns buf resized to n zero elements, reusing its backing
+// array when it is large enough.
+func zeroed[T int | int32](buf []T, n int) []T {
+	if cap(buf) < n {
+		return make([]T, n)
+	}
+	buf = buf[:n]
+	clear(buf)
+	return buf
 }
 
 // evict drops cached state whose task or worker was absent from the

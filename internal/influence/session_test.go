@@ -1,9 +1,11 @@
 package influence
 
 import (
-	"reflect"
+	"fmt"
+	"math"
 	"testing"
 
+	"dita/internal/assign"
 	"dita/internal/model"
 	"dita/internal/paralleltest"
 )
@@ -52,21 +54,58 @@ func instantSequence(inst *model.Instance) []*model.Instance {
 	return []*model.Instance{i0, i1, i2}
 }
 
+// somePairs declares a deterministic two-thirds subset of inst's
+// worker-task pairs, varied by salt, so rows are filled only partly and
+// a task carried to the next instant meets newly declared workers there.
+func somePairs(inst *model.Instance, salt int) []assign.Pair {
+	var out []assign.Pair
+	for w := range inst.Workers {
+		for t := range inst.Tasks {
+			if (w*7+t*3+salt)%3 != 0 {
+				out = append(out, assign.Pair{W: int32(w), T: int32(t)})
+			}
+		}
+	}
+	return out
+}
+
+// sameAnswers fails t unless got answers every declared pair — and
+// every worker's propagation sum — bit for bit as want does.
+func sameAnswers(t *testing.T, got, want *Evaluator, pairs []assign.Pair, what string) {
+	t.Helper()
+	if got.NumWorkers() != want.NumWorkers() || got.NumTasks() != want.NumTasks() || got.Components() != want.Components() {
+		t.Fatalf("%s: shape %d×%d %v, want %d×%d %v", what,
+			got.NumWorkers(), got.NumTasks(), got.Components(), want.NumWorkers(), want.NumTasks(), want.Components())
+	}
+	for w := 0; w < want.NumWorkers(); w++ {
+		if g, x := got.PropagationSum(w), want.PropagationSum(w); math.Float64bits(g) != math.Float64bits(x) {
+			t.Fatalf("%s: PropagationSum(%d) = %v, want %v", what, w, g, x)
+		}
+	}
+	for _, p := range pairs {
+		w, tk := int(p.W), int(p.T)
+		if g, x := got.Influence(w, tk), want.Influence(w, tk); math.Float64bits(g) != math.Float64bits(x) {
+			t.Fatalf("%s: Influence(%d, %d) = %v, want %v", what, w, tk, g, x)
+		}
+	}
+}
+
 // TestSessionMatchesColdPrepare is the correctness gate of the session
 // layer: at every instant of a carry-over sequence, for every component
-// mask, the warm session's evaluator must be bit-identical (unexported
-// fields included) to a cold one-shot Prepare of the same instance.
+// mask, the warm session's evaluator must answer every declared pair bit
+// for bit as a cold one-shot Prepare of the same instance does. (A warm
+// row may legitimately hold more filled entries than the cold one, so
+// the evaluators are compared by their answers, not their layout.)
 func TestSessionMatchesColdPrepare(t *testing.T) {
 	eng, inst := testWorld(t)
 	const seed = 7
 	for _, mask := range []Components{All, WP, AP, AW, Propagation, Willingness, Affinity, 0} {
 		sess := eng.NewSession(mask, seed, 2)
 		for k, in := range instantSequence(inst) {
-			warm := sess.Evaluate(in)
-			cold := eng.Prepare(in, mask, seed)
-			if !reflect.DeepEqual(warm, cold) {
-				t.Fatalf("mask %v instant %d: session evaluator diverged from cold Prepare", mask, k)
-			}
+			pairs := somePairs(in, k)
+			warm := sess.Evaluate(in, pairs)
+			cold := eng.Prepare(in, pairs, mask, seed)
+			sameAnswers(t, warm, cold, pairs, fmt.Sprintf("mask %v instant %d", mask, k))
 		}
 	}
 }
@@ -78,8 +117,8 @@ func TestSessionReusesCarriedOverState(t *testing.T) {
 	eng, inst := testWorld(t)
 	sess := eng.NewSession(All, 7, 1)
 	seq := instantSequence(inst)
-	ev0 := sess.Evaluate(seq[0])
-	ev1 := sess.Evaluate(seq[1])
+	ev0 := sess.Evaluate(seq[0], crossPairs(seq[0]))
+	ev1 := sess.Evaluate(seq[1], crossPairs(seq[1]))
 	// Task with stable id 1 is position 1 at instant 0 and position 0 at
 	// instant 1.
 	if &ev0.wilRows[1][0] != &ev1.wilRows[0][0] {
@@ -103,7 +142,7 @@ func TestSessionEvictsDepartedEntities(t *testing.T) {
 	sess := eng.NewSession(All, 7, 1)
 	seq := instantSequence(inst)
 	for k, in := range seq {
-		sess.Evaluate(in)
+		sess.Evaluate(in, crossPairs(in))
 		distinctUsers := map[model.WorkerID]bool{}
 		for _, w := range in.Workers {
 			distinctUsers[w.User] = true
@@ -121,7 +160,7 @@ func TestSessionEvictsDepartedEntities(t *testing.T) {
 		Workers: seq[2].Workers[:1],
 		Tasks:   seq[2].Tasks[:1],
 	}
-	sess.Evaluate(small)
+	sess.Evaluate(small, crossPairs(small))
 	if sess.CachedTasks() != 1 || sess.CachedWorkers() != 1 {
 		t.Errorf("after shrinking to 1×1: %d tasks, %d workers cached",
 			sess.CachedTasks(), sess.CachedWorkers())
@@ -130,20 +169,20 @@ func TestSessionEvictsDepartedEntities(t *testing.T) {
 
 // TestSessionCapacityBoundExact is the unit gate of the bounded session:
 // with a capacity far below the live pool, every instant's evaluator
-// must still be bit-identical to a cold Prepare (evicted-but-live
-// entities are cache misses that recompute identity-keyed state), while
-// both caches hold at most the capacity after every instant.
+// must still answer every declared pair bit-identically to a cold
+// Prepare (evicted-but-live entities are cache misses that recompute
+// identity-keyed state), while both caches hold at most the capacity
+// after every instant.
 func TestSessionCapacityBoundExact(t *testing.T) {
 	eng, inst := testWorld(t)
 	const capacity = 2
 	sess := eng.NewSession(All, 7, 2)
 	sess.SetCapacity(capacity)
 	for k, in := range instantSequence(inst) {
-		warm := sess.Evaluate(in)
-		cold := eng.Prepare(in, All, 7)
-		if !reflect.DeepEqual(warm, cold) {
-			t.Fatalf("instant %d: capped session evaluator diverged from cold Prepare", k)
-		}
+		pairs := somePairs(in, k)
+		warm := sess.Evaluate(in, pairs)
+		cold := eng.Prepare(in, pairs, All, 7)
+		sameAnswers(t, warm, cold, pairs, fmt.Sprintf("capped session, instant %d", k))
 		if len(in.Tasks) <= capacity {
 			t.Fatalf("instant %d offers %d tasks; the bound is never stressed", k, len(in.Tasks))
 		}
@@ -157,7 +196,7 @@ func TestSessionCapacityBoundExact(t *testing.T) {
 	// Lifting the bound restores live-pool tracking at the next instant.
 	sess.SetCapacity(0)
 	final := instantSequence(inst)[2]
-	sess.Evaluate(final)
+	sess.Evaluate(final, somePairs(final, 0))
 	if got, want := sess.CachedTasks(), len(final.Tasks); got != want {
 		t.Errorf("after lifting the bound: %d cached tasks, want %d", got, want)
 	}
@@ -171,7 +210,7 @@ func TestSessionCapacityEvictsOldestFirst(t *testing.T) {
 	eng, inst := testWorld(t)
 	sess := eng.NewSession(All, 7, 1)
 	sess.SetCapacity(1)
-	sess.Evaluate(inst)
+	sess.Evaluate(inst, crossPairs(inst))
 	if sess.CachedTasks() != 1 {
 		t.Fatalf("%d cached tasks, want 1", sess.CachedTasks())
 	}
@@ -184,11 +223,10 @@ func TestSessionCapacityEvictsOldestFirst(t *testing.T) {
 		t.Fatal("last-admitted task was evicted: FIFO order broken")
 	}
 	probe := &model.Instance{Now: inst.Now + 1, Workers: inst.Workers[:1], Tasks: []model.Task{last}}
-	warm := sess.Evaluate(probe)
-	cold := eng.Prepare(probe, All, 7)
-	if !reflect.DeepEqual(warm, cold) {
-		t.Fatal("survivor state diverged from cold Prepare")
-	}
+	pairs := crossPairs(probe)
+	warm := sess.Evaluate(probe, pairs)
+	cold := eng.Prepare(probe, pairs, All, 7)
+	sameAnswers(t, warm, cold, pairs, "capacity survivor")
 	if &warm.thetaT[0][0] != &st.theta[0] {
 		t.Fatal("survivor was recomputed, not served from cache")
 	}
@@ -204,8 +242,8 @@ func TestSessionParallelismInvariant(t *testing.T) {
 		var evs []*Evaluator
 		for _, mask := range []Components{All, AW} {
 			sess := eng.NewSession(mask, 7, par)
-			for _, in := range seq {
-				evs = append(evs, sess.Evaluate(in))
+			for k, in := range seq {
+				evs = append(evs, sess.Evaluate(in, somePairs(in, k)))
 			}
 		}
 		return evs
@@ -225,7 +263,7 @@ func TestSessionRejectsDuplicateTaskIDs(t *testing.T) {
 			t.Fatal("duplicate task IDs accepted")
 		}
 	}()
-	eng.NewSession(All, 7, 1).Evaluate(bad)
+	eng.NewSession(All, 7, 1).Evaluate(bad, nil)
 }
 
 // TestPrepareSeedKeyedByStableIdentity: the fold-in stream of a task
@@ -233,11 +271,11 @@ func TestSessionRejectsDuplicateTaskIDs(t *testing.T) {
 // permutes — but never changes — the per-task state.
 func TestPrepareSeedKeyedByStableIdentity(t *testing.T) {
 	eng, inst := testWorld(t)
-	ev := eng.Prepare(inst, All, 7)
+	ev := eng.Prepare(inst, crossPairs(inst), All, 7)
 	perm := &model.Instance{Now: inst.Now, Workers: inst.Workers}
 	perm.Tasks = append(perm.Tasks, inst.Tasks[3:]...)
 	perm.Tasks = append(perm.Tasks, inst.Tasks[:3]...)
-	evPerm := eng.Prepare(perm, All, 7)
+	evPerm := eng.Prepare(perm, crossPairs(perm), All, 7)
 	n := len(inst.Tasks)
 	for j := 0; j < n; j++ {
 		pj := (j - 3 + n) % n // position of task j in the permuted instance

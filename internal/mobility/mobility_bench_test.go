@@ -38,8 +38,8 @@ func BenchmarkFit(b *testing.B) {
 	}
 }
 
-// BenchmarkWillingness measures one Pwil(w, s) evaluation — the inner
-// loop of the |W_G|×|S| willingness matrix.
+// BenchmarkWillingness measures one Pwil(w, s) evaluation — the unit of
+// work of every willingness entry the influence session fills.
 func BenchmarkWillingness(b *testing.B) {
 	hists := benchHistories(100, 30, 1)
 	m := Fit(hists, Config{})
