@@ -348,6 +348,93 @@ func TestServeBatchTriggerFiresInline(t *testing.T) {
 	}
 }
 
+// TestServeEarlierInstantsServed: an explicit instant timed before the
+// previous one, and a batch-triggering arrival whose time is earlier
+// than the last instant's, are served like any other instant (no 5xx,
+// no dropped connection), and the region keeps working afterwards:
+// /metrics answers, a later instant runs and the drain persists the CSV.
+func TestServeEarlierInstantsServed(t *testing.T) {
+	fw, data := testFramework(t)
+	csvPath := filepath.Join(t.TempDir(), "serve.csv")
+	srv, ts := testServer(t, fw, serverConfig{
+		engine:  engine.Config{Trigger: engine.BatchTrigger{N: 4}},
+		csvPath: csvPath,
+	})
+	ws, tks, err := trace.Build(data, trace.Params{Arrivals: 8, Seed: 5, Start: 96, Spread: 1, RadiusKm: 25, ValidMin: 6, ValidSpan: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	postWorker := func(body workerReq) int {
+		return do(t, "POST", ts.URL+"/v1/default/workers", body, nil)
+	}
+	postTask := func(body taskReq) int {
+		return do(t, "POST", ts.URL+"/v1/default/tasks", body, nil)
+	}
+	// A worker and a task nobody can reach keep both pools non-empty
+	// whatever the instants match.
+	if postWorker(workerReq{User: 0, X: 500, Y: 500, Radius: 0.001, At: 97}) != 200 ||
+		postTask(taskReq{X: -500, Y: -500, Publish: 97, Valid: 1e6, Venue: 1}) != 200 {
+		t.Fatal("unreachable entities refused")
+	}
+	for _, wa := range ws {
+		if postWorker(workerReq{User: int32(wa.User), X: wa.Loc.X, Y: wa.Loc.Y, Radius: wa.Radius, At: 97}) != 200 {
+			t.Fatal("worker arrival failed")
+		}
+	}
+	for _, ta := range tks {
+		if postTask(taskReq{X: ta.Loc.X, Y: ta.Loc.Y, Publish: 97, Valid: ta.Valid, Venue: int32(ta.Venue)}) != 200 {
+			t.Fatal("task arrival failed")
+		}
+	}
+	if code := do(t, "POST", ts.URL+"/v1/default/instant", instantReq{At: 99}, nil); code != 200 {
+		t.Fatalf("instant at 99: status %d", code)
+	}
+	var earlier instantResp
+	if code := do(t, "POST", ts.URL+"/v1/default/instant", instantReq{At: 98}, &earlier); code >= 500 {
+		t.Fatalf("earlier instant: status %d", code)
+	}
+	if earlier.Online == 0 || earlier.Open == 0 {
+		t.Fatalf("earlier instant ran on %d online, %d open; the test needs non-empty pools", earlier.Online, earlier.Open)
+	}
+	// Three later arrivals, then one timed before every instant so far:
+	// the fourth reaches the batch threshold and fires at its own time.
+	for i := 0; i < 3; i++ {
+		if postWorker(workerReq{User: int32(ws[i].User), X: ws[i].Loc.X, Y: ws[i].Loc.Y, Radius: ws[i].Radius, At: 99.5}) != 200 {
+			t.Fatal("worker arrival failed")
+		}
+	}
+	var got map[string]json.RawMessage
+	body := taskReq{X: tks[0].Loc.X, Y: tks[0].Loc.Y, Publish: 96.5, Valid: tks[0].Valid, Venue: int32(tks[0].Venue)}
+	if code := do(t, "POST", ts.URL+"/v1/default/tasks", body, &got); code >= 500 {
+		t.Fatalf("earlier batch-triggering arrival: status %d", code)
+	}
+	if _, fired := got["instant"]; !fired {
+		t.Fatal("the fourth pending arrival fired no instant")
+	}
+
+	var m metricsResp
+	if code := do(t, "GET", ts.URL+"/v1/default/metrics", nil, &m); code != 200 {
+		t.Fatalf("metrics: status %d", code)
+	}
+	if m.Totals.Instants != 7 || m.LastInstant.At != 96.5 {
+		t.Fatalf("metrics after the earlier instants: %+v", m)
+	}
+	if code := do(t, "POST", ts.URL+"/v1/default/instant", instantReq{At: 100}, nil); code != 200 {
+		t.Fatalf("later instant: status %d", code)
+	}
+	if err := srv.Drain(); err != nil {
+		t.Fatal(err)
+	}
+	raw, err := os.ReadFile(csvPath)
+	if err != nil {
+		t.Fatalf("drain wrote no CSV: %v", err)
+	}
+	do(t, "GET", ts.URL+"/v1/default/metrics", nil, &m)
+	if rows := strings.Count(string(raw), "\n") - 1; rows != m.Totals.Assigned || rows == 0 {
+		t.Fatalf("drained CSV has %d rows, engine assigned %d", rows, m.Totals.Assigned)
+	}
+}
+
 // TestServeRegionsAreIsolated: two regions hold independent engines —
 // ids, pools and instants in one never leak into the other.
 func TestServeRegionsAreIsolated(t *testing.T) {

@@ -19,6 +19,12 @@
 //	})
 //	set, metrics := fw.Assign(inst, dita.IA, 1)
 //
+// Framework.Assign computes the instance's feasible pairs once, prepares
+// the influence model for them and solves. Callers that run several
+// algorithms on one instance, or many instants on carry-over pools,
+// compute FeasiblePairs themselves, prepare the evaluator through a
+// Session and call Framework.AssignPrepared with those pairs.
+//
 // See examples/ for complete programs and internal/experiments for the
 // benchmark harness that regenerates every figure of the paper.
 package dita
@@ -69,9 +75,11 @@ type (
 	// Session is the incremental online phase: it carries per-task and
 	// per-worker influence state across assignment instants, so an
 	// instant only pays for newly arrived entities and newly feasible
-	// pairs. Open one with Framework.PrepareSession; its evaluators answer
-	// every declared pair bit-identically to cold Framework.Prepare ones
-	// for the same seed.
+	// pairs. Open one with Framework.PrepareSession, prepare each
+	// instant's evaluator with Session.Prepare over the instant's
+	// FeasiblePairs, and solve with Framework.AssignPrepared; its
+	// evaluators answer every declared pair bit-identically to a fresh
+	// session's for the same seed.
 	Session = core.Session
 )
 
@@ -164,41 +172,9 @@ func FeasiblePairs(inst *Instance, speedKmH float64) []assign.Pair {
 	return assign.FeasiblePairs(inst, speedKmH)
 }
 
-// TileStats reports the shape of a tiled solve: spatial tile count of a
-// tiled feasibility scan, and the component structure of the
-// feasibility graph the solver decomposed over.
+// TileStats reports the component structure of the feasibility graph
+// a solve decomposed over (Framework.AssignPrepared's third result).
 type TileStats = assign.TileStats
-
-// TiledFeasiblePairs is FeasiblePairs through spatial partitioning: the
-// world is cut into reachability-sized tiles scanned independently on up
-// to parallelism pool workers (<=0 means all cores). The pair list is
-// bit-identical to FeasiblePairs at any parallelism; the extra return is
-// the tile count. Meant for the 100k–1M-entity regime — at small pools
-// the global scan's constants win.
-func TiledFeasiblePairs(inst *Instance, speedKmH float64, parallelism int) ([]assign.Pair, int) {
-	return assign.TiledFeasiblePairs(inst, speedKmH, parallelism)
-}
-
-// PairIndex carries the feasible-pair set across the instants of a
-// streaming run, paying only for arrivals, retirements and deadline
-// decay; its output is bit-identical to FeasiblePairs on each instant.
-// Sessions maintain one automatically (Session.Pairs / Session.Assign);
-// the type is exported for callers that run their own instant loop.
-type PairIndex = assign.PairIndex
-
-// NewPairIndex returns an empty incremental feasible-pair index for the
-// given travel speed (km/h; <=0 means 5). See assign.PairIndex for the
-// identity preconditions streaming callers must uphold.
-func NewPairIndex(speedKmH float64) *PairIndex {
-	return assign.NewPairIndex(speedKmH)
-}
-
-// NewPairIndexParallel is NewPairIndex with a worker-pool bound for the
-// admission scans of large arrival bursts (<=0 means all cores); the
-// emitted pairs are bit-identical at any setting.
-func NewPairIndexParallel(speedKmH float64, parallelism int) *PairIndex {
-	return assign.NewPairIndexParallel(speedKmH, parallelism)
-}
 
 // Streaming simulation: a platform loop with carry-over state, where a
 // worker stays online until assigned and a task remains available until

@@ -75,14 +75,14 @@ func main() {
 		if err != nil {
 			log.Fatalf("snapshot day %d: %v", day, err)
 		}
-		ev := fw.Prepare(inst, dita.All, uint64(day))
-		pairs := dita.FeasiblePairs(inst, 5)
+		pairs := dita.FeasiblePairs(inst, fw.Speed())
+		ev := fw.PrepareSession(dita.All, uint64(day), 0).Prepare(inst, pairs)
 		fmt.Printf("day %d — %d workers, %d tasks, %d feasible pairs\n",
 			day, len(inst.Workers), len(inst.Tasks), len(pairs))
 		fmt.Printf("  %-5s %9s %9s %9s %11s %10s\n",
 			"alg", "assigned", "AI", "AP", "travel(km)", "cpu")
 		for _, alg := range algorithms {
-			set, m := fw.AssignPrepared(inst, ev, alg, pairs)
+			set, m, _ := fw.AssignPrepared(inst, ev, alg, pairs, 1)
 			if err := set.Validate(len(inst.Tasks), len(inst.Workers)); err != nil {
 				log.Fatalf("%v produced an invalid assignment: %v", alg, err)
 			}

@@ -121,7 +121,7 @@ func main() {
 
 	// The table below prices every worker-task pair, feasible or not, so
 	// the evaluator is built for the full cross product rather than only
-	// the feasible pairs Framework.Prepare would declare.
+	// the feasible pairs the assignment declares.
 	var every []assign.Pair
 	for w := range inst.Workers {
 		for s := range inst.Tasks {
@@ -149,7 +149,7 @@ func main() {
 	reportPairs(inst, ev, greedy)
 
 	fmt.Println("\nInfluence-aware (IA):")
-	set, _ := fw.AssignPrepared(inst, ev, assign.IA, nil)
+	set, _, _ := fw.AssignPrepared(inst, ev, assign.IA, assign.FeasiblePairs(inst, fw.Speed()), 1)
 	var iaPairs [][2]int
 	for _, pr := range set.Pairs {
 		iaPairs = append(iaPairs, [2]int{int(pr.Worker), int(pr.Task)})

@@ -53,8 +53,8 @@ func BenchmarkSolve(b *testing.B) {
 	for _, alg := range Algorithms {
 		b.Run(alg.String(), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				prob := &Problem{Inst: inst, Influence: infl, Entropy: entropy, SpeedKmH: 5, Pairs: pairs}
-				Solve(alg, prob)
+				prob := &Problem{Inst: inst, Influence: infl, Entropy: entropy, Pairs: pairs}
+				Solve(alg, prob, 1)
 			}
 		})
 	}

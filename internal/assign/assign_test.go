@@ -96,12 +96,19 @@ func TestFeasiblePairsDeadline(t *testing.T) {
 	}
 }
 
-// TestSolveHasPairsAuthoritative: a precomputed-but-empty pair set must
-// not trigger a silent feasibility rescan. A zero-feasibility instance
-// yields a nil pair slice from FeasiblePairs; with HasPairs set, Solve
-// must take it at face value — observable on a well-connected instance,
-// where a rescan would assign tasks and the authoritative empty set must
-// assign none.
+// solve runs Solve on the inline single-worker path and drops the
+// decomposition stats.
+func solve(alg Algorithm, p *Problem) *model.AssignmentSet {
+	set, _ := Solve(alg, p, 1)
+	return set
+}
+
+// TestSolveHasPairsAuthoritative: Problem.Pairs is authoritative, so an
+// empty pair set must never trigger a silent feasibility rescan. A
+// zero-feasibility instance yields a nil pair slice from FeasiblePairs,
+// and Solve must take it at face value — observable on a
+// well-connected instance, where a rescan would assign tasks and the
+// authoritative nil set must assign none.
 func TestSolveHasPairsAuthoritative(t *testing.T) {
 	// Zero-feasibility instance: the precomputed set is legitimately nil.
 	sparse := &model.Instance{
@@ -109,30 +116,27 @@ func TestSolveHasPairsAuthoritative(t *testing.T) {
 		Workers: []model.Worker{{ID: 0, Loc: geo.Point{}, Radius: 1}},
 		Tasks:   []model.Task{{ID: 0, Loc: geo.Point{X: 50}, Publish: 0, Valid: 1}},
 	}
-	var precomputed []Pair
-	precomputed = FeasiblePairs(sparse, 5)
+	precomputed := FeasiblePairs(sparse, 5)
 	if precomputed != nil {
 		t.Fatalf("instance is not zero-feasibility: %v", precomputed)
 	}
 	for _, alg := range Algorithms {
-		prob := &Problem{Inst: sparse, Influence: syntheticInfluence(1),
-			SpeedKmH: 5, Pairs: precomputed, HasPairs: true}
-		if got := Solve(alg, prob).Len(); got != 0 {
+		prob := &Problem{Inst: sparse, Influence: syntheticInfluence(1), Pairs: precomputed}
+		if got := solve(alg, prob).Len(); got != 0 {
 			t.Errorf("%v assigned %d on an authoritative empty pair set", alg, got)
 		}
 	}
 
 	// Dense instance: FeasiblePairs would find plenty, so any assignment
-	// proves Solve re-entered it behind the caller's back.
+	// proves Solve scanned the instance behind the caller's back.
 	dense := randomInstance(12, 12, 3)
 	if len(FeasiblePairs(dense, 5)) == 0 {
 		t.Fatal("dense instance has no feasible pairs; the probe cannot detect a rescan")
 	}
 	for _, alg := range Algorithms {
-		prob := &Problem{Inst: dense, Influence: syntheticInfluence(1),
-			SpeedKmH: 5, Pairs: nil, HasPairs: true}
-		if got := Solve(alg, prob).Len(); got != 0 {
-			t.Errorf("%v recomputed feasibility despite HasPairs (assigned %d)", alg, got)
+		prob := &Problem{Inst: dense, Influence: syntheticInfluence(1)}
+		if got := solve(alg, prob).Len(); got != 0 {
+			t.Errorf("%v scanned for feasibility despite nil Pairs (assigned %d)", alg, got)
 		}
 	}
 }
@@ -154,10 +158,10 @@ func validate(t *testing.T, set *model.AssignmentSet, inst *model.Instance) {
 
 func TestAllAlgorithmsProduceValidAssignments(t *testing.T) {
 	inst := randomInstance(30, 40, 2)
-	prob := &Problem{Inst: inst, Influence: syntheticInfluence(3), SpeedKmH: 5}
+	prob := &Problem{Inst: inst, Influence: syntheticInfluence(3), Pairs: FeasiblePairs(inst, 5)}
 	for _, alg := range Algorithms {
 		t.Run(alg.String(), func(t *testing.T) {
-			set := Solve(alg, prob)
+			set := solve(alg, prob)
 			validate(t, set, inst)
 			if set.Len() == 0 {
 				t.Fatal("no assignments on a well-connected instance")
@@ -171,10 +175,10 @@ func TestFlowAlgorithmsAchieveMaximumCardinality(t *testing.T) {
 	// the assignment size (the max matching) on any instance.
 	for seed := uint64(0); seed < 5; seed++ {
 		inst := randomInstance(25, 25, 10+seed)
-		prob := &Problem{Inst: inst, Influence: syntheticInfluence(seed), SpeedKmH: 5}
-		want := Solve(MTA, prob).Len()
+		prob := &Problem{Inst: inst, Influence: syntheticInfluence(seed), Pairs: FeasiblePairs(inst, 5)}
+		want := solve(MTA, prob).Len()
 		for _, alg := range []Algorithm{IA, EIA, DIA} {
-			if got := Solve(alg, prob).Len(); got != want {
+			if got := solve(alg, prob).Len(); got != want {
 				t.Errorf("seed %d: %v assigned %d, MTA %d", seed, alg, got, want)
 			}
 		}
@@ -184,9 +188,9 @@ func TestFlowAlgorithmsAchieveMaximumCardinality(t *testing.T) {
 func TestMICannotExceedFlowCardinality(t *testing.T) {
 	for seed := uint64(0); seed < 5; seed++ {
 		inst := randomInstance(25, 25, 20+seed)
-		prob := &Problem{Inst: inst, Influence: syntheticInfluence(seed), SpeedKmH: 5}
-		mta := Solve(MTA, prob).Len()
-		mi := Solve(MI, prob).Len()
+		prob := &Problem{Inst: inst, Influence: syntheticInfluence(seed), Pairs: FeasiblePairs(inst, 5)}
+		mta := solve(MTA, prob).Len()
+		mi := solve(MI, prob).Len()
 		if mi > mta {
 			t.Errorf("seed %d: MI assigned %d > max matching %d", seed, mi, mta)
 		}
@@ -218,9 +222,9 @@ func TestIAMinimizesPaperCostAmongMaxAssignments(t *testing.T) {
 	prob := &Problem{
 		Inst:      inst,
 		Influence: func(w, t int) float64 { return infl[[2]int{w, t}] },
-		SpeedKmH:  5,
+		Pairs:     FeasiblePairs(inst, 5),
 	}
-	set := Solve(IA, prob)
+	set := solve(IA, prob)
 	if set.Len() != 2 {
 		t.Fatalf("assigned %d, want 2", set.Len())
 	}
@@ -257,16 +261,16 @@ func TestMIPrefersInfluenceOverCardinality(t *testing.T) {
 	prob := &Problem{
 		Inst:      inst,
 		Influence: func(w, t int) float64 { return infl[[2]int{w, t}] },
-		SpeedKmH:  5,
+		Pairs:     FeasiblePairs(inst, 5),
 	}
 	// Greedy takes (0,0) with influence 10 first; task 0 is then used, so
 	// (1,0) is blocked, and worker 0 being used blocks (0,1). MI strands
 	// worker 1 at one assignment while the flow algorithms reach two.
-	mi := Solve(MI, prob)
+	mi := solve(MI, prob)
 	if mi.Len() != 1 {
 		t.Fatalf("MI assigned %d, want 1", mi.Len())
 	}
-	mta := Solve(MTA, prob)
+	mta := solve(MTA, prob)
 	if mta.Len() != 2 {
 		t.Fatalf("MTA assigned %d, want 2", mta.Len())
 	}
@@ -284,10 +288,10 @@ func TestInfluenceOrderingAcrossAlgorithms(t *testing.T) {
 	const seeds = 8
 	for seed := uint64(0); seed < seeds; seed++ {
 		inst := randomInstance(30, 30, 30+seed)
-		prob := &Problem{Inst: inst, Influence: syntheticInfluence(seed * 7), SpeedKmH: 5}
-		aiMTA += Solve(MTA, prob).AverageInfluence()
-		aiIA += Solve(IA, prob).AverageInfluence()
-		aiMI += Solve(MI, prob).AverageInfluence()
+		prob := &Problem{Inst: inst, Influence: syntheticInfluence(seed * 7), Pairs: FeasiblePairs(inst, 5)}
+		aiMTA += solve(MTA, prob).AverageInfluence()
+		aiIA += solve(IA, prob).AverageInfluence()
+		aiMI += solve(MI, prob).AverageInfluence()
 	}
 	if aiIA <= aiMTA {
 		t.Errorf("aggregate AI: IA %v not above MTA %v", aiIA/seeds, aiMTA/seeds)
@@ -311,9 +315,9 @@ func TestDIAFavorsCloserWorkers(t *testing.T) {
 	prob := &Problem{
 		Inst:      inst,
 		Influence: func(w, t int) float64 { return 3 },
-		SpeedKmH:  5,
+		Pairs:     FeasiblePairs(inst, 5),
 	}
-	set := Solve(DIA, prob)
+	set := solve(DIA, prob)
 	if set.Len() != 1 || set.Pairs[0].Worker != 1 {
 		t.Errorf("DIA chose %+v, want worker 1 (closer)", set.Pairs)
 	}
@@ -338,9 +342,9 @@ func TestEIAPrioritizesLowEntropyTasks(t *testing.T) {
 		Inst:      inst,
 		Influence: func(w, t int) float64 { return 1 },
 		Entropy:   func(t int) float64 { return entropies[t] },
-		SpeedKmH:  5,
+		Pairs:     FeasiblePairs(inst, 5),
 	}
-	set := Solve(EIA, prob)
+	set := solve(EIA, prob)
 	if set.Len() != 1 || set.Pairs[0].Task != 1 {
 		t.Errorf("EIA chose %+v, want low-entropy task 1", set.Pairs)
 	}
@@ -349,7 +353,7 @@ func TestEIAPrioritizesLowEntropyTasks(t *testing.T) {
 func TestEmptyInstances(t *testing.T) {
 	for _, alg := range Algorithms {
 		prob := &Problem{Inst: &model.Instance{}, Influence: func(w, t int) float64 { return 1 }}
-		set := Solve(alg, prob)
+		set := solve(alg, prob)
 		if set.Len() != 0 {
 			t.Errorf("%v assigned %d on empty instance", alg, set.Len())
 		}
@@ -358,10 +362,10 @@ func TestEmptyInstances(t *testing.T) {
 	onlyWorkers := randomInstance(5, 0, 1)
 	onlyTasks := randomInstance(0, 5, 1)
 	for _, alg := range Algorithms {
-		if got := Solve(alg, &Problem{Inst: onlyWorkers}).Len(); got != 0 {
+		if got := solve(alg, &Problem{Inst: onlyWorkers}).Len(); got != 0 {
 			t.Errorf("%v assigned %d with no tasks", alg, got)
 		}
-		if got := Solve(alg, &Problem{Inst: onlyTasks}).Len(); got != 0 {
+		if got := solve(alg, &Problem{Inst: onlyTasks}).Len(); got != 0 {
 			t.Errorf("%v assigned %d with no workers", alg, got)
 		}
 	}
@@ -374,9 +378,9 @@ func TestPrecomputedPairsRespected(t *testing.T) {
 		t.Skip("instance too sparse for the test")
 	}
 	// Restrict to a single pair: algorithms may only use it.
-	prob := &Problem{Inst: inst, Influence: syntheticInfluence(1), Pairs: all[:1], SpeedKmH: 5}
+	prob := &Problem{Inst: inst, Influence: syntheticInfluence(1), Pairs: all[:1]}
 	for _, alg := range Algorithms {
-		set := Solve(alg, prob)
+		set := solve(alg, prob)
 		if set.Len() > 1 {
 			t.Errorf("%v ignored the precomputed pair restriction", alg)
 		}
@@ -397,10 +401,10 @@ func TestParseAlgorithm(t *testing.T) {
 
 func TestDeterministicResults(t *testing.T) {
 	inst := randomInstance(20, 20, 5)
-	prob := &Problem{Inst: inst, Influence: syntheticInfluence(9), SpeedKmH: 5}
+	prob := &Problem{Inst: inst, Influence: syntheticInfluence(9), Pairs: FeasiblePairs(inst, 5)}
 	for _, alg := range Algorithms {
-		a := Solve(alg, prob)
-		b := Solve(alg, prob)
+		a := solve(alg, prob)
+		b := solve(alg, prob)
 		if a.Len() != b.Len() {
 			t.Fatalf("%v nondeterministic size", alg)
 		}

@@ -11,8 +11,7 @@ import (
 )
 
 // scatteredInstance builds pools spread over a wide box with modest
-// radii, so the instant tiles into many occupied tiles and the
-// feasibility graph splits into several components.
+// radii, so the feasibility graph splits into several components.
 func scatteredInstance(nW, nT int, radius float64, seed uint64) *model.Instance {
 	rng := randx.New(seed)
 	inst := &model.Instance{Now: 0}
@@ -35,113 +34,13 @@ func scatteredInstance(nW, nT int, radius float64, seed uint64) *model.Instance 
 	return inst
 }
 
-func TestTiledFeasiblePairsMatchesGlobal(t *testing.T) {
-	configs := []struct {
-		nW, nT int
-		radius float64
-		seed   uint64
-	}{
-		{80, 120, 8, 1},
-		{150, 100, 4, 2},
-		{60, 60, 30, 3},  // radius comparable to the box: few fat tiles
-		{40, 50, 0.5, 4}, // tiny radius: tile cap engages
-		{1, 1, 10, 5},
-		{50, 70, 0, 6}, // zero radius: only co-located pairs possible
-	}
-	for _, cfg := range configs {
-		inst := scatteredInstance(cfg.nW, cfg.nT, cfg.radius, cfg.seed)
-		want := FeasiblePairs(inst, 5)
-		for _, par := range []int{1, 2, 8} {
-			got, tiles := TiledFeasiblePairs(inst, 5, par)
-			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("cfg %+v par %d: tiled pairs diverge from global (%d vs %d pairs)",
-					cfg, par, len(got), len(want))
-			}
-			if tiles < 1 {
-				t.Fatalf("cfg %+v par %d: no occupied tiles reported", cfg, par)
-			}
-		}
-	}
-}
-
-func TestTiledFeasiblePairsEmptyPools(t *testing.T) {
-	inst := scatteredInstance(10, 0, 5, 1)
-	if pairs, tiles := TiledFeasiblePairs(inst, 5, 4); pairs != nil || tiles != 0 {
-		t.Fatalf("no tasks: got %d pairs, %d tiles", len(pairs), tiles)
-	}
-	inst = scatteredInstance(0, 10, 5, 1)
-	if pairs, tiles := TiledFeasiblePairs(inst, 5, 4); pairs != nil || tiles != 0 {
-		t.Fatalf("no workers: got %d pairs, %d tiles", len(pairs), tiles)
-	}
-}
-
-// TestTiledBoundaryProperty is the boundary-correctness property test:
-// entities sit exactly on tile edges and corners (coordinates are exact
-// binary multiples of half the tile size, so no placement rounding
-// blurs the boundary), worker radii equal the tile size exactly so
-// pairs straddle tiles at exactly the reachability limit, and the scan
-// runs under adversarial explicit tilings — including the 1×1
-// degenerate tiling — at several worker counts. The tiled output must
-// be bit-identical to the global scan every time.
-func TestTiledBoundaryProperty(t *testing.T) {
-	const size = 4.0 // power of two: snapped coordinates are exact
-	for seed := uint64(0); seed < 8; seed++ {
-		rng := randx.New(1000 + seed)
-		inst := &model.Instance{Now: 0}
-		snap := func() float64 {
-			// Mostly exact edge/corner multiples of size/2, some free.
-			v := rng.Float64() * 64
-			if rng.Intn(4) != 0 {
-				v = math.Floor(v/(size/2)) * (size / 2)
-			}
-			return v
-		}
-		nW, nT := 40+rng.Intn(40), 40+rng.Intn(40)
-		for i := 0; i < nW; i++ {
-			inst.Workers = append(inst.Workers, model.Worker{
-				ID: model.WorkerID(i), User: model.WorkerID(i),
-				Loc:    geo.Point{X: snap(), Y: snap()},
-				Radius: size, // exactly one tile: radius-straddling pairs abound
-			})
-		}
-		for j := 0; j < nT; j++ {
-			inst.Tasks = append(inst.Tasks, model.Task{
-				ID: model.TaskID(j), Loc: geo.Point{X: snap(), Y: snap()},
-				Publish: 0, Valid: 10,
-			})
-		}
-		want := FeasiblePairs(inst, 5)
-		bounds := geo.Rect{Min: inst.Workers[0].Loc, Max: inst.Workers[0].Loc}
-		for _, w := range inst.Workers {
-			bounds = bounds.Extend(w.Loc)
-		}
-		for _, task := range inst.Tasks {
-			bounds = bounds.Extend(task.Loc)
-		}
-		// Tile sizes at and above the reachability bound, including one
-		// large enough to degenerate to a single 1×1 tile.
-		for _, tileSize := range []float64{size, size * 1.5, size * 3, 1 << 20} {
-			tl := geo.NewTiling(bounds, tileSize, 1<<20)
-			if tileSize == 1<<20 && tl.Tiles() != 1 {
-				t.Fatalf("seed %d: expected degenerate 1×1 tiling, got %dx%d", seed, tl.NX, tl.NY)
-			}
-			for _, par := range []int{1, 2, 8} {
-				got, _ := tiledFeasiblePairs(inst, 5, par, tl)
-				if !reflect.DeepEqual(got, want) {
-					t.Fatalf("seed %d tileSize %v par %d: boundary pairs diverge (%d vs %d)",
-						seed, tileSize, par, len(got), len(want))
-				}
-			}
-		}
-	}
-}
-
-// TestSolveTiledMatchesSolve is the tentpole gate at the assign layer:
-// the tiled pipeline (tiled scan + component-parallel matching) must
-// return a bit-identical assignment set to the sequential Solve for
-// every algorithm — the paper's five and the MIX ablation — at
-// parallelism 1, 2 and 8.
-func TestSolveTiledMatchesSolve(t *testing.T) {
+// TestSolveParallelMatchesSequential is the component-parallel solver's
+// gate at the assign layer: for every algorithm — the paper's five and
+// the MIX ablation — Solve at parallelism 2 and 8 must return the
+// bit-identical assignment set of the inline parallelism-1 path, which
+// in turn must keep the monolithic reference's cardinality (and, for
+// the greedy MI, its exact matching).
+func TestSolveParallelMatchesSequential(t *testing.T) {
 	ent := func(ti int) float64 { return float64(ti%7) / 3 }
 	for _, cfg := range []struct {
 		nW, nT int
@@ -153,20 +52,28 @@ func TestSolveTiledMatchesSolve(t *testing.T) {
 		{50, 50, 40, 13}, // nearly one dense component
 	} {
 		inst := scatteredInstance(cfg.nW, cfg.nT, cfg.radius, cfg.seed)
-		prob := &Problem{Inst: inst, Influence: syntheticInfluence(cfg.seed), Entropy: ent}
+		pairs := FeasiblePairs(inst, 5)
+		prob := &Problem{Inst: inst, Influence: syntheticInfluence(cfg.seed), Entropy: ent, Pairs: pairs}
 		algs := append(append([]Algorithm(nil), Algorithms...), MIX)
 		for _, alg := range algs {
-			want := Solve(alg, prob)
-			for _, par := range []int{1, 2, 8} {
-				got, stats := SolveTiled(alg, prob, par)
+			want, _ := Solve(alg, prob, 1)
+			if alg != MIX {
+				mono := solveMonolithic(alg, prob, pairs)
+				if want.Len() != mono.Len() || (alg == MI && !reflect.DeepEqual(want, mono)) {
+					t.Fatalf("cfg %+v alg %v: sequential Solve assigned %d, monolithic reference %d",
+						cfg, alg, want.Len(), mono.Len())
+				}
+			}
+			for _, par := range []int{2, 8} {
+				got, stats := Solve(alg, prob, par)
 				if !reflect.DeepEqual(got, want) {
-					t.Fatalf("cfg %+v alg %v par %d: tiled assignment diverges (%d vs %d pairs)",
+					t.Fatalf("cfg %+v alg %v par %d: parallel assignment diverges (%d vs %d pairs)",
 						cfg, alg, par, got.Len(), want.Len())
 				}
 				if want.Len() > 0 && stats.Components < 1 {
 					t.Fatalf("cfg %+v alg %v par %d: no components reported", cfg, alg, par)
 				}
-				if stats.LargestComponent > len(FeasiblePairs(inst, 5)) {
+				if stats.LargestComponent > len(pairs) {
 					t.Fatalf("cfg %+v: largest component %d exceeds pair count", cfg, stats.LargestComponent)
 				}
 			}
@@ -197,11 +104,11 @@ func TestSolveComponentsPreservesObjectives(t *testing.T) {
 	ent := func(ti int) float64 { return float64(ti%5) / 2 }
 	for seed := uint64(20); seed < 26; seed++ {
 		inst := scatteredInstance(60, 70, 5, seed)
-		prob := &Problem{Inst: inst, Influence: syntheticInfluence(seed), Entropy: ent}
 		pairs := FeasiblePairs(inst, 5)
+		prob := &Problem{Inst: inst, Influence: syntheticInfluence(seed), Entropy: ent, Pairs: pairs}
 		for _, alg := range Algorithms {
 			mono := solveMonolithic(alg, prob, pairs)
-			dec, _ := solveComponents(alg, prob, pairs, 4)
+			dec, _ := Solve(alg, prob, 4)
 			if dec.Len() != mono.Len() {
 				t.Fatalf("seed %d alg %v: decomposed cardinality %d, monolithic %d",
 					seed, alg, dec.Len(), mono.Len())
@@ -254,7 +161,7 @@ func bruteMaxInfluence(nT int, pairs []Pair, infl func(w, t int) float64) float6
 	return best
 }
 
-// TestMIXExactMaxInfluence is the per-tile exact-assignment ablation
+// TestMIXExactMaxInfluence is the per-component exact-assignment ablation
 // gate: MIX must achieve the true maximum total influence (checked by
 // brute force on small instances) and therefore never fall below the
 // paper's greedy MI.
@@ -262,14 +169,14 @@ func TestMIXExactMaxInfluence(t *testing.T) {
 	for seed := uint64(30); seed < 40; seed++ {
 		inst := scatteredInstance(7, 8, 12, seed)
 		infl := syntheticInfluence(seed)
-		prob := &Problem{Inst: inst, Influence: infl}
 		pairs := FeasiblePairs(inst, 5)
+		prob := &Problem{Inst: inst, Influence: infl, Pairs: pairs}
 		want := bruteMaxInfluence(len(inst.Tasks), pairs, infl)
-		mix := Solve(MIX, prob)
+		mix := solve(MIX, prob)
 		if got := mix.TotalInfluence(); math.Abs(got-want) > 1e-9 {
 			t.Fatalf("seed %d: MIX influence %v, brute-force maximum %v", seed, got, want)
 		}
-		mi := Solve(MI, prob)
+		mi := solve(MI, prob)
 		if mix.TotalInfluence() < mi.TotalInfluence()-1e-12 {
 			t.Fatalf("seed %d: exact MIX (%v) below greedy MI (%v)",
 				seed, mix.TotalInfluence(), mi.TotalInfluence())
@@ -301,9 +208,9 @@ func TestMIXBeatsGreedyWhenGreedyTrapped(t *testing.T) {
 		}
 		return 0
 	}
-	prob := &Problem{Inst: inst, Influence: infl}
-	mi := Solve(MI, prob)
-	mix := Solve(MIX, prob)
+	prob := &Problem{Inst: inst, Influence: infl, Pairs: FeasiblePairs(inst, 5)}
+	mi := solve(MI, prob)
+	mix := solve(MIX, prob)
 	if got := mi.TotalInfluence(); math.Abs(got-3) > 1e-12 {
 		t.Fatalf("greedy MI influence %v, expected the trapped 3", got)
 	}

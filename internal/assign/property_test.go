@@ -41,9 +41,9 @@ func quickInstance(seed uint64) *model.Instance {
 func TestPropertyAllAlgorithmsValid(t *testing.T) {
 	f := func(seed uint64) bool {
 		inst := quickInstance(seed)
-		prob := &Problem{Inst: inst, Influence: syntheticInfluence(seed), SpeedKmH: 5}
+		prob := &Problem{Inst: inst, Influence: syntheticInfluence(seed), Pairs: FeasiblePairs(inst, 5)}
 		for _, alg := range Algorithms {
-			set := Solve(alg, prob)
+			set := solve(alg, prob)
 			if err := set.Validate(len(inst.Tasks), len(inst.Workers)); err != nil {
 				t.Logf("seed %d alg %v: %v", seed, alg, err)
 				return false
@@ -68,14 +68,14 @@ func TestPropertyAllAlgorithmsValid(t *testing.T) {
 func TestPropertyFlowCardinalityAgreement(t *testing.T) {
 	f := func(seed uint64) bool {
 		inst := quickInstance(seed)
-		prob := &Problem{Inst: inst, Influence: syntheticInfluence(seed), SpeedKmH: 5}
-		want := Solve(MTA, prob).Len()
+		prob := &Problem{Inst: inst, Influence: syntheticInfluence(seed), Pairs: FeasiblePairs(inst, 5)}
+		want := solve(MTA, prob).Len()
 		for _, alg := range []Algorithm{IA, EIA, DIA} {
-			if Solve(alg, prob).Len() != want {
+			if solve(alg, prob).Len() != want {
 				return false
 			}
 		}
-		return Solve(MI, prob).Len() <= want
+		return solve(MI, prob).Len() <= want
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Error(err)
@@ -85,9 +85,7 @@ func TestPropertyFlowCardinalityAgreement(t *testing.T) {
 // TestPropertyFeasiblePairsSortedAndComplete: on arbitrary instances the
 // grid-accelerated FeasiblePairs equals the brute-force O(nW·nT) scan —
 // same pairs, same distances — and is exactly sorted by (worker, task),
-// as its doc comment promises. The mutable-grid incremental path is
-// gated against FeasiblePairs, so this property transitively anchors it
-// to the definition.
+// as its doc comment promises.
 func TestPropertyFeasiblePairsSortedAndComplete(t *testing.T) {
 	f := func(seed uint64) bool {
 		inst := quickInstance(seed)
@@ -130,9 +128,9 @@ func TestPropertyAssignmentBoundedByFeasiblePairs(t *testing.T) {
 	f := func(seed uint64) bool {
 		inst := quickInstance(seed)
 		pairs := FeasiblePairs(inst, 5)
-		prob := &Problem{Inst: inst, Influence: syntheticInfluence(seed), SpeedKmH: 5, Pairs: pairs}
+		prob := &Problem{Inst: inst, Influence: syntheticInfluence(seed), Pairs: pairs}
 		for _, alg := range Algorithms {
-			n := Solve(alg, prob).Len()
+			n := solve(alg, prob).Len()
 			if n > len(pairs) || n > len(inst.Workers) || n > len(inst.Tasks) {
 				return false
 			}

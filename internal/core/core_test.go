@@ -57,6 +57,13 @@ func testInstance(t *testing.T, data *dataset.Data) *model.Instance {
 	return inst
 }
 
+// prepare scans the instance's feasible pairs and builds a fresh
+// evaluator over them, returning both.
+func prepare(fw *Framework, inst *model.Instance, mask influence.Components, seed uint64) (*influence.Evaluator, []assign.Pair) {
+	pairs := assign.FeasiblePairs(inst, fw.Speed())
+	return fw.Engine().Prepare(inst, pairs, mask, seed), pairs
+}
+
 func TestTrainValidation(t *testing.T) {
 	if _, err := Train(TrainingData{}, Config{}); err == nil {
 		t.Error("training without a graph accepted")
@@ -105,9 +112,9 @@ func TestTrainedComponentsPresent(t *testing.T) {
 func TestAssignAllAlgorithmsValid(t *testing.T) {
 	fw, data := testFramework(t)
 	inst := testInstance(t, data)
-	ev := fw.Prepare(inst, influence.All, 1)
+	ev, pairs := prepare(fw, inst, influence.All, 1)
 	for _, alg := range assign.Algorithms {
-		set, m := fw.AssignPrepared(inst, ev, alg, nil)
+		set, m, _ := fw.AssignPrepared(inst, ev, alg, pairs, 1)
 		if err := set.Validate(len(inst.Tasks), len(inst.Workers)); err != nil {
 			t.Fatalf("%v: %v", alg, err)
 		}
@@ -150,11 +157,10 @@ func TestMetricsConsistency(t *testing.T) {
 func TestFlowAlgorithmsAgreeOnCardinality(t *testing.T) {
 	fw, data := testFramework(t)
 	inst := testInstance(t, data)
-	ev := fw.Prepare(inst, influence.All, 1)
-	pairs := assign.FeasiblePairs(inst, fw.Speed())
-	_, mta := fw.AssignPrepared(inst, ev, assign.MTA, pairs)
+	ev, pairs := prepare(fw, inst, influence.All, 1)
+	_, mta, _ := fw.AssignPrepared(inst, ev, assign.MTA, pairs, 1)
 	for _, alg := range []assign.Algorithm{assign.IA, assign.EIA, assign.DIA} {
-		_, m := fw.AssignPrepared(inst, ev, alg, pairs)
+		_, m, _ := fw.AssignPrepared(inst, ev, alg, pairs, 1)
 		if m.Assigned != mta.Assigned {
 			t.Errorf("%v assigned %d, MTA %d", alg, m.Assigned, mta.Assigned)
 		}
@@ -177,10 +183,9 @@ func TestQualitativeOrderingOnRealPipeline(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ev := fw.Prepare(inst, influence.All, uint64(day))
-		pairs := assign.FeasiblePairs(inst, fw.Speed())
+		ev, pairs := prepare(fw, inst, influence.All, uint64(day))
 		for _, alg := range assign.Algorithms {
-			_, m := fw.AssignPrepared(inst, ev, alg, pairs)
+			_, m, _ := fw.AssignPrepared(inst, ev, alg, pairs, 1)
 			sum[alg].AI += m.AI
 			sum[alg].AP += m.AP
 			sum[alg].TravelKm += m.TravelKm
@@ -204,11 +209,10 @@ func TestQualitativeOrderingOnRealPipeline(t *testing.T) {
 func TestAblationMasksChangeAssignments(t *testing.T) {
 	fw, data := testFramework(t)
 	inst := testInstance(t, data)
-	pairs := assign.FeasiblePairs(inst, fw.Speed())
 	ais := map[influence.Components]float64{}
 	for _, mask := range []influence.Components{influence.All, influence.WP, influence.AP, influence.AW} {
-		ev := fw.Prepare(inst, mask, 1)
-		_, m := fw.AssignPrepared(inst, ev, assign.IA, pairs)
+		ev, pairs := prepare(fw, inst, mask, 1)
+		_, m, _ := fw.AssignPrepared(inst, ev, assign.IA, pairs, 1)
 		ais[mask] = m.AI
 		if m.Assigned == 0 {
 			t.Fatalf("mask %v assigned nothing", mask)
@@ -237,16 +241,18 @@ func TestAssignDeterministic(t *testing.T) {
 }
 
 func TestSessionAssignMatchesColdPath(t *testing.T) {
-	// The session plumbing must be a pure caching layer: session Assign
-	// on an instance equals Prepare + AssignPrepared, and repeating the
-	// same instance through the warm cache changes nothing.
+	// The session plumbing must be a pure caching layer: a session
+	// evaluator solved through AssignPrepared equals a fresh evaluator's
+	// assignment, and repeating the same instance through the warm cache
+	// at a different solve parallelism changes nothing.
 	fw, data := testFramework(t)
 	inst := testInstance(t, data)
 	const seed = 3
-	wantSet, wantM := fw.AssignPrepared(inst, fw.Prepare(inst, influence.All, seed), assign.IA, nil)
+	ev, pairs := prepare(fw, inst, influence.All, seed)
+	wantSet, wantM, _ := fw.AssignPrepared(inst, ev, assign.IA, pairs, 1)
 	sess := fw.PrepareSession(influence.All, seed, 2)
 	for round := 0; round < 2; round++ {
-		set, m := sess.Assign(inst, assign.IA, nil)
+		set, m, _ := fw.AssignPrepared(inst, sess.Prepare(inst, pairs), assign.IA, pairs, 2)
 		if !reflect.DeepEqual(set, wantSet) {
 			t.Fatalf("round %d: session assignment diverged from the cold path", round)
 		}
@@ -260,66 +266,29 @@ func TestSessionAssignMatchesColdPath(t *testing.T) {
 	}
 }
 
-// TestAssignPreparedPairsAuthoritative: the explicit precomputed-pairs
-// entry point must never rescan — an empty set on a well-connected
-// instance assigns nothing — while a genuinely precomputed set matches
-// the compute-for-me path exactly.
+// TestAssignPreparedPairsAuthoritative: AssignPrepared must never
+// rescan — a nil pair set on a well-connected instance assigns nothing —
+// while the instance's precomputed feasible pairs match the one-call
+// Assign path, which scans for itself, exactly.
 func TestAssignPreparedPairsAuthoritative(t *testing.T) {
 	fw, data := testFramework(t)
 	inst := testInstance(t, data)
-	ev := fw.Prepare(inst, influence.All, 1)
+	ev, pairs := prepare(fw, inst, influence.All, 1)
 
-	set, m := fw.AssignPreparedPairs(inst, ev, assign.IA, nil)
+	set, m, _ := fw.AssignPrepared(inst, ev, assign.IA, nil, 1)
 	if set.Len() != 0 || m.Feasible != 0 {
 		t.Fatalf("authoritative empty pair set assigned %d over %d feasible — a rescan happened",
 			set.Len(), m.Feasible)
 	}
 
-	pairs := assign.FeasiblePairs(inst, fw.Speed())
-	gotSet, gotM := fw.AssignPreparedPairs(inst, ev, assign.IA, pairs)
-	wantSet, wantM := fw.AssignPrepared(inst, ev, assign.IA, nil)
+	gotSet, gotM, _ := fw.AssignPrepared(inst, ev, assign.IA, pairs, 1)
+	wantSet, wantM := fw.Assign(inst, assign.IA, 1)
 	if !reflect.DeepEqual(gotSet, wantSet) {
-		t.Fatal("precomputed pairs diverged from the compute-for-me path")
+		t.Fatal("precomputed pairs diverged from the one-call path")
 	}
 	gotM.CPU, wantM.CPU = 0, 0
 	if gotM != wantM {
 		t.Fatalf("metrics %+v, want %+v", gotM, wantM)
-	}
-}
-
-// TestIncrementalSessionPairsMatchColdScan: Session.Pairs must equal
-// assign.FeasiblePairs on every instant it serves — the first (all
-// fresh), a repeat (all carried over), and a shrunken pool (eviction
-// plus deadline decay at a later Now).
-func TestIncrementalSessionPairsMatchColdScan(t *testing.T) {
-	fw, data := testFramework(t)
-	inst := testInstance(t, data)
-	sess := fw.PrepareSession(influence.All, 1, 2)
-	for round := 0; round < 2; round++ {
-		got := append([]assign.Pair(nil), sess.Pairs(inst)...)
-		want := assign.FeasiblePairs(inst, fw.Speed())
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("round %d: session pairs diverged from the cold scan", round)
-		}
-		if len(want) == 0 {
-			t.Fatal("test instance has no feasible pairs; nothing gated")
-		}
-	}
-	// Retire every other task and advance the clock: the index must
-	// evict, revalidate deadlines and still match the cold scan.
-	later := &model.Instance{Now: inst.Now + 2, Workers: inst.Workers}
-	for j, task := range inst.Tasks {
-		if j%2 == 0 {
-			later.Tasks = append(later.Tasks, task)
-		}
-	}
-	got := sess.Pairs(later)
-	want := assign.FeasiblePairs(later, fw.Speed())
-	if !reflect.DeepEqual(got, want) {
-		t.Fatal("session pairs diverged after eviction and deadline decay")
-	}
-	if ix := sess.PairIndex(); ix.CachedTasks() != len(later.Tasks) {
-		t.Errorf("index carries %d tasks, pool holds %d", ix.CachedTasks(), len(later.Tasks))
 	}
 }
 

@@ -8,11 +8,13 @@
 // The engine applies an explicit event stream — WorkerArrive,
 // WorkerDepart, TaskArrive, TaskExpire — to the pools backing a
 // core.Session, and fires assignment instants (InstantFire) that
-// snapshot the pools, run the online phase through the session caches,
-// solve the assignment and retire the matched pairs. Entities keep
-// platform-stable identities for their whole lifetime, which is the
-// contract the influence session (per-entity cache keys) and the pair
-// index (arrival-ordered admission) both rely on.
+// snapshot the pools, scan the feasible pairs, run the online phase
+// through the session caches, solve the assignment and retire the
+// matched pairs. Entities keep platform-stable identities for their
+// whole lifetime, which is the contract the influence session's
+// per-entity cache keys rely on. Nothing on the instant path depends on
+// instant times arriving in order: feasibility is recomputed from the
+// pools at every busy instant.
 //
 // Determinism: the engine core never reads the wall clock or any other
 // ambient state. Simulation time arrives on the events themselves
@@ -124,9 +126,7 @@ type Event struct {
 }
 
 // Config parameterizes an engine. The zero Components means the full
-// influence model; the cold knobs mirror simulate.Config (they exist for
-// equivalence testing and benchmarking — outputs are bit-identical
-// either way).
+// influence model.
 type Config struct {
 	// Algorithm used at every instant.
 	Algorithm assign.Algorithm
@@ -136,20 +136,9 @@ type Config struct {
 	// derived from it and the task's stable identity.
 	Seed uint64
 	// Parallelism bounds the worker pool for fresh per-entity influence
-	// state, pair admission and the component-decomposed solve (<= 0
-	// means all cores). Results are bit-identical at any setting.
+	// state and the component-decomposed solve (<= 0 means all cores).
+	// Results are bit-identical at any setting.
 	Parallelism int
-	// ColdPrepare disables the incremental session and rebuilds the full
-	// influence state every instant. It implies cold feasible pairs too:
-	// without a session there is nowhere to carry the pair index.
-	ColdPrepare bool
-	// ColdPairs disables the incremental feasible-pair index and rescans
-	// the full workers×tasks feasibility every instant.
-	ColdPairs bool
-	// TiledColdPairs routes the ColdPairs rescan through the tiled
-	// scanner, recording the instant's tile count in InstantResult.Tiles.
-	// Ignored unless ColdPairs is in effect.
-	TiledColdPairs bool
 	// SessionCapacity bounds the influence session's per-entity caches:
 	// after each instant, at most this many cached task states and this
 	// many cached user states are retained, evicting the
@@ -212,14 +201,14 @@ type InstantResult struct {
 	// Assignment time is in Metrics.CPU, matching the paper's phase
 	// split. Zero on a clockless engine.
 	Prepare time.Duration
-	// PairMaint is the feasible-pair latency of the instant: maintaining
-	// the incremental pair index (or, under cold pairs, rescanning the
-	// full workers×tasks feasibility). Excluded from Metrics.CPU.
+	// PairMaint is the feasible-pair latency of the instant: the
+	// assign.FeasiblePairs scan of the instant's pools, zero on an
+	// instant with an empty pool side. Excluded from Metrics.CPU.
 	PairMaint time.Duration
 	Metrics   core.Metrics
-	// Tiles reports the instant's tiled-pipeline shape: feasibility-graph
-	// component stats for every busy instant, plus the spatial tile count
-	// when the instant's pairs came from a tiled cold scan.
+	// Tiles reports the feasibility-graph component structure the
+	// instant's solve decomposed over; zero on an instant with an empty
+	// pool side.
 	Tiles assign.TileStats
 	// Expired counts tasks the instant's deadline sweep dropped.
 	Expired int
@@ -274,8 +263,8 @@ func (e *InvalidEventError) Error() string {
 }
 
 // Engine is the carry-over state between instants: the live pools, the
-// stable-id counters, and the incremental session (influence cache +
-// pair index) the instants are served through.
+// stable-id counters, and the influence session the instants are served
+// through.
 type Engine struct {
 	fw      *core.Framework
 	cfg     Config
@@ -310,11 +299,9 @@ func New(fw *core.Framework, cfg Config) (*Engine, error) {
 		vocab:  int64(fw.LDA().Vocab()),
 		venues: int64(fw.Entropy().VenueSpan()),
 	}
-	if !cfg.ColdPrepare {
-		e.sess = fw.PrepareSession(cfg.Components, cfg.Seed, cfg.Parallelism)
-		if cfg.SessionCapacity > 0 {
-			e.sess.SetCapacity(cfg.SessionCapacity)
-		}
+	e.sess = fw.PrepareSession(cfg.Components, cfg.Seed, cfg.Parallelism)
+	if cfg.SessionCapacity > 0 {
+		e.sess.SetCapacity(cfg.SessionCapacity)
 	}
 	return e, nil
 }
@@ -429,14 +416,14 @@ func (e *Engine) clock() time.Duration {
 }
 
 // Fire runs one assignment instant at simulation time now: sweep overdue
-// tasks, snapshot the pools, maintain the feasible pairs, prepare the
-// influence evaluator for those pairs through the session (or cold),
-// solve, and retire the matched pairs. Pairs come before prepare because
-// the session computes willingness only where the feasible pairs read it.
+// tasks, snapshot the pools, scan the feasible pairs, prepare the
+// influence evaluator for those pairs through the session, solve, and
+// retire the matched pairs. Pairs come before prepare because the
+// session computes willingness only where the feasible pairs read it.
 // An instant with an empty pool side runs no assignment but still syncs
 // the session caches — admitting arrivals ahead of the next busy instant
 // and evicting departures — with that maintenance cost timed into
-// Prepare/PairMaint exactly as a busy instant's would be.
+// Prepare exactly as a busy instant's would be.
 func (e *Engine) Fire(now float64) InstantResult {
 	e.pending = 0
 	e.totals.Instants++
@@ -456,48 +443,22 @@ func (e *Engine) Fire(now float64) InstantResult {
 	e.totals.Expired += expired
 
 	if len(e.workers) == 0 || len(e.tasks) == 0 {
-		var prep, pairMaint time.Duration
-		if e.sess != nil {
-			inst := &model.Instance{Now: now, Workers: e.workers, Tasks: e.tasks}
-			t0 := e.clock()
-			e.sess.Sync(inst)
-			prep = e.clock() - t0
-			if !e.cfg.ColdPairs {
-				t1 := e.clock()
-				e.sess.Pairs(inst)
-				pairMaint = e.clock() - t1
-			}
-		}
+		t0 := e.clock()
+		e.sess.Sync(&model.Instance{Now: now, Workers: e.workers, Tasks: e.tasks})
 		return InstantResult{
 			At: now, OnlineWorkers: len(e.workers), OpenTasks: len(e.tasks),
-			Prepare: prep, PairMaint: pairMaint, Expired: expired,
+			Prepare: e.clock() - t0, Expired: expired,
 		}
 	}
 
 	inst := e.instance(now)
 	t0 := e.clock()
-	var pairs []assign.Pair
-	scanTiles := 0
-	if e.cfg.ColdPairs || e.sess == nil {
-		if e.cfg.TiledColdPairs {
-			pairs, scanTiles = assign.TiledFeasiblePairs(inst, e.fw.Speed(), e.cfg.Parallelism)
-		} else {
-			pairs = assign.FeasiblePairs(inst, e.fw.Speed())
-		}
-	} else {
-		pairs = e.sess.Pairs(inst)
-	}
+	pairs := assign.FeasiblePairs(inst, e.fw.Speed())
 	pairMaint := e.clock() - t0
 	t1 := e.clock()
-	var ev *influence.Evaluator
-	if e.cfg.ColdPrepare {
-		ev = e.fw.PrepareSession(e.cfg.Components, e.cfg.Seed, e.cfg.Parallelism).Prepare(inst, pairs)
-	} else {
-		ev = e.sess.Prepare(inst, pairs)
-	}
+	ev := e.sess.Prepare(inst, pairs)
 	prep := e.clock() - t1
-	set, m, ts := e.fw.AssignPreparedPairsTiled(inst, ev, e.cfg.Algorithm, pairs, e.cfg.Parallelism)
-	ts.Tiles = scanTiles
+	set, m, ts := e.fw.AssignPrepared(inst, ev, e.cfg.Algorithm, pairs, e.cfg.Parallelism)
 	ir := InstantResult{
 		At: now, OnlineWorkers: len(e.workers), OpenTasks: len(e.tasks),
 		Prepare: prep, PairMaint: pairMaint, Metrics: m, Tiles: ts,
@@ -578,8 +539,7 @@ func resize(marks []bool, n int) []bool {
 	return marks[:n]
 }
 
-// Session returns the engine's influence session, or nil under
-// ColdPrepare.
+// Session returns the engine's influence session.
 func (e *Engine) Session() *core.Session { return e.sess }
 
 // Online returns the number of currently online (unassigned) workers.

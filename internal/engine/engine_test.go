@@ -451,3 +451,75 @@ func TestEngineRejectsOutOfRangeArrivals(t *testing.T) {
 	}
 	e.Fire(126)
 }
+
+// TestEngineEarlierInstantKeepsConservation: an instant timed before the
+// previous one — an out-of-order instant request, or a batch-triggered
+// arrival carrying an earlier time — runs like any other instant, since
+// every busy instant rescans feasibility from the pools. Both instants
+// run on non-empty pools, and afterwards every arrival is accounted
+// for: arrived = assigned + expired + cancelled + departed + live.
+func TestEngineEarlierInstantKeepsConservation(t *testing.T) {
+	fw, data := testFramework(t)
+	e, err := engine.New(fw, engine.Config{Algorithm: assign.IA, Seed: 5, Parallelism: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	arrived := 0
+	admit := func(ws []engine.WorkerArrival, ts []engine.TaskArrival) {
+		for _, w := range ws {
+			if _, err := e.Apply(engine.Event{Kind: engine.WorkerArrive, Worker: w}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for _, task := range ts {
+			if _, err := e.Apply(engine.Event{Kind: engine.TaskArrive, Task: task}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		arrived += len(ts)
+	}
+	// A worker and a task nobody can reach keep both pools non-empty
+	// whatever the instants match.
+	admit([]engine.WorkerArrival{{User: 0, Loc: geo.Point{X: 500, Y: 500}, Radius: 0.001}},
+		[]engine.TaskArrival{{Loc: geo.Point{X: -500, Y: -500}, Publish: 120, Valid: 1e6, Venue: 1}})
+	admit(streams(data, 30, 41))
+
+	later := e.Fire(130)
+	if later.OnlineWorkers == 0 || later.OpenTasks == 0 || len(later.Assigned) == 0 {
+		t.Fatalf("first instant: %d online, %d open, %d assigned — the test needs a busy instant",
+			later.OnlineWorkers, later.OpenTasks, len(later.Assigned))
+	}
+	admit(streams(data, 30, 43))
+	if _, err := e.Apply(engine.Event{Kind: engine.WorkerDepart, WorkerID: 0}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := e.Apply(engine.Event{Kind: engine.TaskExpire, TaskID: 0}); err != nil {
+		t.Fatal(err)
+	}
+	earlier := e.Fire(129)
+	if earlier.OnlineWorkers == 0 || earlier.OpenTasks == 0 {
+		t.Fatalf("earlier instant ran on %d online, %d open; the test needs non-empty pools",
+			earlier.OnlineWorkers, earlier.OpenTasks)
+	}
+	if earlier.Metrics.Algorithm == "" {
+		t.Fatal("earlier instant ran no assignment")
+	}
+	tot := e.Totals()
+	if tot.Instants != 2 {
+		t.Fatalf("%d instants counted, want 2", tot.Instants)
+	}
+	if got := tot.Assigned + tot.Expired + tot.Cancelled + e.Open(); got != arrived {
+		t.Fatalf("task conservation: assigned %d + expired %d + cancelled %d + live %d = %d, arrived %d",
+			tot.Assigned, tot.Expired, tot.Cancelled, e.Open(), got, arrived)
+	}
+	workers := 1 + 30 + 30
+	if got := tot.Assigned + tot.Departed + e.Online(); got != workers {
+		t.Fatalf("worker conservation: assigned %d + departed %d + live %d = %d, arrived %d",
+			tot.Assigned, tot.Departed, e.Online(), got, workers)
+	}
+	// The engine keeps serving afterwards.
+	if ir := e.Fire(131); ir.OnlineWorkers != e.Online()+len(ir.Assigned) {
+		t.Fatalf("instant after the earlier one: %d online before, %d after, %d assigned",
+			ir.OnlineWorkers, e.Online(), len(ir.Assigned))
+	}
+}

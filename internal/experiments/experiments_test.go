@@ -102,8 +102,8 @@ func TestSharedPairsMatchPerAlgorithmRecompute(t *testing.T) {
 		t.Fatal("sweep point has no feasible pairs; the comparison gates nothing")
 	}
 	for _, alg := range assign.Algorithms {
-		gotSet, gotM := r.FW.AssignPreparedPairs(inst, ev, alg, shared)
-		wantSet, wantM := r.FW.AssignPrepared(inst, ev, alg, nil)
+		gotSet, gotM, _ := r.FW.AssignPrepared(inst, ev, alg, shared, 1)
+		wantSet, wantM, _ := r.FW.AssignPrepared(inst, ev, alg, assign.FeasiblePairs(inst, r.FW.Speed()), 1)
 		if !reflect.DeepEqual(gotSet, wantSet) {
 			t.Errorf("%v: shared-pairs assignment diverged from per-algorithm recomputation", alg)
 		}

@@ -18,7 +18,8 @@
 // (assigned by the engine at admission, in arrival order), so the
 // influence session layer (core.Session) can cache per-entity state
 // across instants instead of rebuilding the online phase from scratch
-// each round.
+// each round. Feasibility carries no state: every busy instant scans its
+// pools with assign.FeasiblePairs.
 package simulate
 
 import (
@@ -56,30 +57,10 @@ type Config struct {
 	// per-instant seed exists to collide across instants.
 	Seed uint64
 	// Parallelism bounds the worker pool the online phase computes fresh
-	// per-entity influence state on (<= 0 means all cores). Results are
-	// bit-identical at any setting.
+	// per-entity influence state on and the component-decomposed solve
+	// runs on (<= 0 means all cores). Results are bit-identical at any
+	// setting.
 	Parallelism int
-	// ColdPrepare disables the incremental session and rebuilds the full
-	// influence state every instant (a single-use session per round). It
-	// exists for equivalence testing and for benchmarking the cached
-	// online phase against the cold one; results are identical either
-	// way. It implies cold feasible pairs too: without a session there is
-	// nowhere to carry the pair index.
-	ColdPrepare bool
-	// ColdPairs disables the incremental feasible-pair index and rescans
-	// the full workers×tasks feasibility every instant
-	// (assign.FeasiblePairs). Like ColdPrepare it exists for equivalence
-	// testing and benchmarking; the emitted pairs are bit-identical
-	// either way.
-	ColdPairs bool
-	// TiledColdPairs routes the ColdPairs rescan through the tiled
-	// scanner (assign.TiledFeasiblePairs) on Parallelism pool workers
-	// instead of the global grid scan, recording the instant's tile count
-	// in InstantResult.Tiles. Pairs are bit-identical to the global scan;
-	// the knob exists so the tiled pipeline can be driven (and diffed
-	// against the global reference) end to end. Ignored unless ColdPairs
-	// is in effect.
-	TiledColdPairs bool
 	// SessionCapacity bounds the influence session's per-entity caches
 	// with deterministic FIFO eviction (0: unbounded). Memory-only;
 	// results are bit-identical at any capacity. See
@@ -122,9 +103,6 @@ func New(fw *core.Framework, cfg Config) (*Platform, error) {
 		Components:      cfg.Components,
 		Seed:            cfg.Seed,
 		Parallelism:     cfg.Parallelism,
-		ColdPrepare:     cfg.ColdPrepare,
-		ColdPairs:       cfg.ColdPairs,
-		TiledColdPairs:  cfg.TiledColdPairs,
 		SessionCapacity: cfg.SessionCapacity,
 		Clock:           monotonicClock(),
 	})
@@ -190,8 +168,7 @@ func (p *Platform) Run(workers []ArrivingWorker, tasks []ArrivingTask) (*Result,
 // Engine exposes the platform's underlying streaming engine.
 func (p *Platform) Engine() *engine.Engine { return p.eng }
 
-// Session returns the platform's influence session, or nil when the
-// platform runs with ColdPrepare.
+// Session returns the platform's influence session.
 func (p *Platform) Session() *core.Session { return p.eng.Session() }
 
 // Online returns the number of currently online (unassigned) workers.
