@@ -5,7 +5,7 @@
 // Usage:
 //
 //	dita-bench [-datasets bk,fs] [-figures all|5,9,15] [-scale full|quick]
-//	           [-csv dir] [-days n] [-parallel n] [-rrrbench file.json]
+//	           [-csv dir] [-days n] [-parallel n]
 //	           [-train-out fw_bk.json,fw_fs.json | -framework fw_bk.json,fw_fs.json]
 //	           [-shard k/N -shard-out file.json] [-merge 'glob']
 //	           [-orchestrate N -shard-dir dir]
@@ -60,31 +60,20 @@
 // the (day × sweep-value) fan-out; 0 (the default) means all cores.
 // Every figure's series is bit-identical for every setting — only the
 // CPU(ms) column, which times each assignment's own wall clock, moves.
-//
-// -rrrbench skips the figures and instead measures rrr.Build plus the
-// training-phase hot spots (datagen, LDA, mobility) at parallelism 1, 2
-// and GOMAXPROCS, writing a machine-readable JSON report (ns/op,
-// allocs/op, sets/sec, per-phase ms per point) so successive PRs have a
-// comparable perf trajectory.
 package main
 
 import (
 	"bytes"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"log"
-	"math"
 	"os"
 	"os/signal"
 	"path/filepath"
-	"runtime"
-	"slices"
 	"strconv"
 	"strings"
 	"sync/atomic"
 	"syscall"
-	"testing"
 	"time"
 
 	"dita/internal/atomicio"
@@ -92,12 +81,6 @@ import (
 	"dita/internal/dataset"
 	"dita/internal/experiments"
 	"dita/internal/fwio"
-	"dita/internal/lda"
-	"dita/internal/mobility"
-	"dita/internal/model"
-	"dita/internal/randx"
-	"dita/internal/rrr"
-	"dita/internal/socialgraph"
 )
 
 func main() {
@@ -110,7 +93,6 @@ func main() {
 		days         = flag.Int("days", 0, "override the number of evaluation days")
 		seed         = flag.Uint64("seed", 42, "experiment seed")
 		par          = flag.Int("parallel", 0, "worker pool bound for sampling and sweeps (0 = all cores)")
-		rrrBench     = flag.String("rrrbench", "", "write an rrr.Build scaling report to this JSON file and exit")
 		trainOut     = flag.String("train-out", "", "train the framework(s) and write sealed artifacts to these paths (one per -datasets entry), then exit")
 		framework    = flag.String("framework", "", "load pre-trained framework artifacts from these paths (one per -datasets entry) instead of training")
 		shardFlag    = flag.String("shard", "", "run as worker k of an N-way sharded sweep (k/N); requires -shard-out")
@@ -154,16 +136,8 @@ func main() {
 		return
 	}
 
-	if *rrrBench != "" {
-		if *shardFlag != "" || *shardOut != "" || *mergeFlag != "" || *orchestrate != 0 {
-			log.Fatal("-rrrbench is a standalone mode; it cannot be combined with -shard/-shard-out/-merge/-orchestrate")
-		}
-	}
 	if *trainOut != "" && *framework != "" {
 		log.Fatal("-train-out and -framework are mutually exclusive: train fresh or serve a saved framework, not both")
-	}
-	if *rrrBench != "" && (*trainOut != "" || *framework != "") {
-		log.Fatal("-rrrbench measures training itself; -train-out/-framework do not apply")
 	}
 	if *mergeFlag != "" && (*trainOut != "" || *framework != "") {
 		log.Fatal("-merge combines finished artifacts; -train-out/-framework do not apply")
@@ -181,12 +155,6 @@ func main() {
 		}
 	}
 	installSignalHandler()
-	if *rrrBench != "" {
-		if err := writeRRRBench(*rrrBench); err != nil {
-			log.Fatalf("rrrbench: %v", err)
-		}
-		return
-	}
 	if *mergeFlag != "" {
 		if *shardFlag != "" || *shardOut != "" || *orchestrate != 0 {
 			log.Fatal("-merge is a coordinator mode; it cannot be combined with -shard/-shard-out/-orchestrate")
@@ -680,185 +648,4 @@ func writeCSV(dir, name string, res *experiments.Result) error {
 		return err
 	}
 	return atomicio.WriteFile(filepath.Join(dir, name), buf.Bytes(), 0o644)
-}
-
-// rrrBenchPoint is one scaling measurement of rrr.Build.
-type rrrBenchPoint struct {
-	Parallelism int     `json:"parallelism"`
-	NsPerOp     int64   `json:"ns_per_op"`
-	AllocsPerOp int64   `json:"allocs_per_op"`
-	BytesPerOp  int64   `json:"bytes_per_op"`
-	Sets        int     `json:"sets"`
-	SetsPerSec  float64 `json:"sets_per_sec"`
-}
-
-// trainingPoint is one scaling measurement of the offline training
-// phase: wall-clock per component at a given worker-pool bound. All
-// three components are bit-identical across points (same seeds), so the
-// deltas isolate pure scheduling gains.
-type trainingPoint struct {
-	Parallelism int     `json:"parallelism"`
-	DatagenMs   float64 `json:"datagen_ms"`
-	LDAMs       float64 `json:"lda_ms"`
-	MobilityMs  float64 `json:"mobility_ms"`
-}
-
-// rrrBenchReport is the machine-readable perf trajectory record
-// successive PRs compare against.
-type rrrBenchReport struct {
-	GoVersion  string          `json:"go_version"`
-	GOMAXPROCS int             `json:"gomaxprocs"`
-	GraphNodes int             `json:"graph_nodes"`
-	GraphEdges int             `json:"graph_edges"`
-	Seed       uint64          `json:"seed"`
-	Points     []rrrBenchPoint `json:"points"`
-	Training   []trainingPoint `json:"training"`
-	// ForwardIndexBytes is the retained memory Params.DropForwardIndex
-	// retires on the benchmark collection (setOff + setMembers).
-	ForwardIndexBytes int64 `json:"forward_index_bytes"`
-}
-
-// writeRRRBench measures rrr.Build on a paper-scale graph at
-// parallelism 1, 2 and GOMAXPROCS and writes the report as JSON. The
-// three collections are bit-identical (same seed), so the points
-// isolate pure scheduling gains.
-func writeRRRBench(path string) error {
-	const benchSeed = 1
-	g := socialgraph.GeneratePreferentialAttachment(2400, 3, randx.New(1))
-	report := rrrBenchReport{
-		GoVersion:  runtime.Version(),
-		GOMAXPROCS: runtime.GOMAXPROCS(0),
-		GraphNodes: g.N(),
-		GraphEdges: g.M(),
-		Seed:       benchSeed,
-	}
-	pars := []int{1, 2, runtime.GOMAXPROCS(0)}
-	slices.Sort(pars)
-	pars = slices.Compact(pars)
-	var lastColl *rrr.Collection // all points build bit-identical collections
-	for _, p := range pars {
-		sets := 0
-		res := testing.Benchmark(func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				c := rrr.Build(g, rrr.Params{Seed: benchSeed, Parallelism: p})
-				sets = c.NumSets()
-				lastColl = c
-			}
-		})
-		pt := rrrBenchPoint{
-			Parallelism: p,
-			NsPerOp:     res.NsPerOp(),
-			AllocsPerOp: res.AllocsPerOp(),
-			BytesPerOp:  res.AllocedBytesPerOp(),
-			Sets:        sets,
-		}
-		if res.NsPerOp() > 0 {
-			pt.SetsPerSec = float64(sets) / (float64(res.NsPerOp()) / 1e9)
-		}
-		report.Points = append(report.Points, pt)
-		fmt.Printf("rrr.Build parallelism=%d: %s, %d allocs/op, %.0f sets/sec\n",
-			p, time.Duration(res.NsPerOp()), res.AllocsPerOp(), pt.SetsPerSec)
-	}
-	if lastColl != nil {
-		members := int64(0)
-		for w := int32(0); w < int32(g.N()); w++ {
-			members += int64(lastColl.CoverageCount(w))
-		}
-		// setMembers mirrors the inverted index entry for entry; setOff
-		// adds one offset per set plus the sentinel.
-		report.ForwardIndexBytes = 4 * (members + int64(lastColl.NumSets()) + 1)
-		fmt.Printf("DropForwardIndex would retire %.1f MiB of the collection\n",
-			float64(report.ForwardIndexBytes)/(1<<20))
-	}
-	var inputs *trainingInputs
-	for _, p := range pars {
-		tp, in, err := measureTraining(p, inputs)
-		if err != nil {
-			return err
-		}
-		inputs = in
-		report.Training = append(report.Training, tp)
-		fmt.Printf("training parallelism=%d: datagen %.0fms, lda %.0fms, mobility %.0fms\n",
-			p, tp.DatagenMs, tp.LDAMs, tp.MobilityMs)
-	}
-	out, err := json.MarshalIndent(report, "", "  ")
-	if err != nil {
-		return err
-	}
-	return atomicio.WriteFile(path, append(out, '\n'), 0o644)
-}
-
-// trainingInputs carries the derived training inputs — documents,
-// vocabulary, histories — across measureTraining points, so the bench
-// extracts them from one generated dataset instead of regenerating and
-// re-deriving at every parallelism. Any worker count generates the
-// identical dataset (the determinism contract), so sharing is exact.
-type trainingInputs struct {
-	docs  [][]int32
-	vocab int
-	hists map[model.WorkerID]model.History
-}
-
-// measureTraining times the three training-phase components at one
-// worker-pool bound on a reduced Brightkite-like dataset (big enough to
-// keep every pool width busy, small enough for a bench smoke run).
-// Dataset generation — the heavyweight component — is timed as a single
-// run per point; LDA and mobility, cheap enough to repeat, report the
-// minimum of several runs so the recorded trajectory is not
-// noise-dominated at the tens-of-ms scale. Pass in = nil on the first
-// point; later points reuse the returned inputs, feeding LDA and
-// mobility bit-identical documents and histories without re-deriving
-// them.
-func measureTraining(par int, in *trainingInputs) (trainingPoint, *trainingInputs, error) {
-	const reps = 3
-	minMs := func(f func() error) (float64, error) {
-		best := math.Inf(1)
-		for i := 0; i < reps; i++ {
-			start := time.Now() //dita:wallclock
-			if err := f(); err != nil {
-				return 0, err
-			}
-			if ms := float64(time.Since(start).Microseconds()) / 1000; ms < best { //dita:wallclock
-				best = ms
-			}
-		}
-		return best, nil
-	}
-
-	dp := dataset.BrightkiteLike()
-	dp.NumUsers = 800
-	dp.NumVenues = 1000
-	dp.Days = 12
-	dp.Parallelism = par
-
-	start := time.Now() //dita:wallclock
-	data, err := dataset.Generate(dp)
-	if err != nil {
-		return trainingPoint{}, nil, err
-	}
-	datagenMs := float64(time.Since(start).Microseconds()) / 1000 //dita:wallclock
-	if in == nil {
-		cutoff := float64(dp.Days-2) * 24
-		docs, vocab := data.Documents(cutoff)
-		in = &trainingInputs{docs: docs, vocab: vocab, hists: data.HistoriesBefore(cutoff)}
-	}
-
-	ldaMs, err := minMs(func() error {
-		_, err := lda.Train(in.docs, in.vocab, lda.Config{Topics: 20, TrainIters: 50, Seed: 1, Parallelism: par})
-		return err
-	})
-	if err != nil {
-		return trainingPoint{}, nil, err
-	}
-
-	mobilityMs, err := minMs(func() error {
-		mobility.Fit(in.hists, mobility.Config{Parallelism: par})
-		return nil
-	})
-	if err != nil {
-		return trainingPoint{}, nil, err
-	}
-
-	return trainingPoint{Parallelism: par, DatagenMs: datagenMs, LDAMs: ldaMs, MobilityMs: mobilityMs}, in, nil
 }

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"sort"
 	"strconv"
@@ -482,17 +483,32 @@ func parseID(w http.ResponseWriter, req *http.Request) (int64, bool) {
 	return id, true
 }
 
-// decodeJSON strictly decodes the request body; unknown fields and
-// malformed payloads are rejected with 400 so a client typo cannot be
-// silently half-applied.
+// maxBodyBytes caps every request body; a larger one is answered 413.
+const maxBodyBytes = 1 << 20
+
+// decodeJSON strictly decodes the request body as exactly one JSON
+// value; unknown fields, malformed payloads and anything but whitespace
+// after the value are rejected with 400 so a client typo cannot be
+// silently half-applied. A body over maxBodyBytes is rejected with 413.
 func decodeJSON(w http.ResponseWriter, req *http.Request, v any) bool {
-	dec := json.NewDecoder(req.Body)
+	dec := json.NewDecoder(http.MaxBytesReader(w, req.Body, maxBodyBytes))
 	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
-		writeErr(w, http.StatusBadRequest, fmt.Sprintf("bad payload: %v", err))
+	err := dec.Decode(v)
+	if err == nil {
+		if _, err = dec.Token(); err == io.EOF {
+			return true
+		}
+		if err == nil {
+			err = errors.New("more than one JSON value")
+		}
+	}
+	var tooLarge *http.MaxBytesError
+	if errors.As(err, &tooLarge) {
+		writeErr(w, http.StatusRequestEntityTooLarge, fmt.Sprintf("body exceeds %d bytes", maxBodyBytes))
 		return false
 	}
-	return true
+	writeErr(w, http.StatusBadRequest, fmt.Sprintf("bad payload: %v", err))
+	return false
 }
 
 func writeJSON(w http.ResponseWriter, code int, v any) {

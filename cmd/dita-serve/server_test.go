@@ -211,6 +211,8 @@ func TestServeMalformedPayloadsRejected(t *testing.T) {
 		{"unknown region metrics", "GET", "/v1/mars/metrics", "", 404},
 		{"bad id", "DELETE", "/v1/default/workers/abc", "", 400},
 		{"wrong method", "GET", "/v1/default/workers", "", 405},
+		{"trailing object", "POST", "/v1/default/workers", `{"user":1}{"user":2}`, 400},
+		{"oversized body", "POST", "/v1/default/workers", `{"user":1}` + strings.Repeat(" ", 1<<20), 413},
 	}
 	for _, c := range cases {
 		if code := do(t, c.method, ts.URL+c.path, c.body, nil); code != c.want {

@@ -39,7 +39,7 @@ const Kind = "dita-framework"
 // The compatibility rule is exact match: any change to a component wire
 // format, the envelope, or the canonical encoding bumps it, and a
 // reader rejects every version it does not speak.
-const Version = 1
+const Version = 2
 
 // artifact is the on-disk envelope. Field order is the canonical
 // encoding order (struct marshalling is deterministic); Checksum seals

@@ -14,7 +14,6 @@ import (
 	"dita/internal/dataset"
 	"dita/internal/experiments"
 	"dita/internal/lda"
-	"dita/internal/rrr"
 )
 
 // testData generates the small shared dataset every test here trains
@@ -190,32 +189,6 @@ func stripCPU(sr *experiments.SweepRaw) {
 	}
 }
 
-// TestDropForwardIndexRoundTrip: the optional forward index must stay
-// dropped through a round trip, not be resurrected or half-restored.
-func TestDropForwardIndexRoundTrip(t *testing.T) {
-	data := testData(t)
-	cfg := trainConfig(1)
-	cfg.RPO = rrr.Params{DropForwardIndex: true}
-	fw := trainAt(t, data, cfg)
-	if fw.Propagation().HasForwardIndex() {
-		t.Fatal("training with DropForwardIndex kept the index")
-	}
-	raw, _, err := Encode(fw, "")
-	if err != nil {
-		t.Fatal(err)
-	}
-	fw2, _, err := Decode(raw)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fw2.Propagation().HasForwardIndex() {
-		t.Fatal("round trip resurrected the dropped forward index")
-	}
-	if !reflect.DeepEqual(fw, fw2) {
-		t.Fatal("decoded framework is not DeepEqual to the trained one")
-	}
-}
-
 // TestEncodeRejectsBrokenThetaAliasing: the artifact stores only a
 // theta index, so a framework whose theta rows diverged from its LDA
 // model cannot be encoded faithfully and must be refused.
@@ -286,7 +259,7 @@ func TestLoadRejectsCorruptArtifacts(t *testing.T) {
 		{"truncated", raw[:len(raw)/2], "reading framework artifact"},
 		{"bit-flipped", bytes.Replace(raw, []byte(sum), []byte(flippedSum), 1), "checksum mismatch"},
 		{"unsealed", corrupt(t, raw, func(m map[string]any) { delete(m, "checksum") }), "no content checksum"},
-		{"version-skew", corrupt(t, raw, func(m map[string]any) { m["version"] = 2 }), "version 2 not supported"},
+		{"version-skew", corrupt(t, raw, func(m map[string]any) { m["version"] = 1 }), "version 1 not supported"},
 		{"wrong-kind", corrupt(t, raw, func(m map[string]any) { m["kind"] = "dita-shard" }), `kind "dita-shard"`},
 	}
 	for _, tc := range cases {

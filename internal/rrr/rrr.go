@@ -43,13 +43,6 @@ type Params struct {
 	// collection because every sample chunk draws from a stream derived
 	// from its chunk index, not from the goroutine that runs it.
 	Parallelism int `json:"parallelism,omitempty"`
-	// DropForwardIndex releases the forward set index (setOff/setMembers)
-	// once the inverted cover index is built, roughly halving the
-	// collection's membership memory. Every propagation query and
-	// TopKSeeds run on the inverted index and are unaffected; only
-	// SetMembers becomes unavailable (it returns nil). Opt in when a
-	// collection is memory-bound and per-set enumeration is not needed.
-	DropForwardIndex bool `json:"drop_forward_index,omitempty"`
 }
 
 func (p Params) withDefaults() Params {
@@ -83,19 +76,16 @@ type Stats struct {
 	Iterations   int     `json:"iterations"`    // halving iterations performed
 }
 
-// Collection is a materialized family R of RRR sets over a social graph
-// plus the inverted index needed to answer propagation queries. Build it
-// once per (graph, time instance) and query propagation vectors for any
-// number of source workers. All storage is flat CSR-style arrays, so a
-// collection is a handful of allocations regardless of |R|.
+// Collection is a materialized family R of RRR sets over a social graph,
+// held as the set roots plus the inverted "sets containing w" index:
+// exactly what Equation 3 reads. Build it once per (graph, time
+// instance) and query propagation vectors for any number of source
+// workers. All storage is flat CSR-style arrays, so a collection is a
+// handful of allocations regardless of |R|.
 type Collection struct {
 	g *socialgraph.Graph
 	// roots[j] is the uniformly chosen root of set j.
 	roots []int32
-	// Forward index: the members of set j are
-	// setMembers[setOff[j]:setOff[j+1]] (the root is always a member).
-	setOff     []int32
-	setMembers []int32
 	// Inverted index: the ids of the sets containing worker w are
 	// coverIDs[coverOff[w]:coverOff[w+1]], in ascending set-id order.
 	coverOff []int32
@@ -214,18 +204,12 @@ func (b *builder) reset() {
 	clear(b.coverage)
 }
 
-// finish freezes the accumulated sets into a queryable Collection,
-// building the forward offsets and the inverted CSR cover index with
-// one counting pass each.
+// finish freezes the accumulated sets into a queryable Collection. The
+// coverage tally lays out the inverted CSR cover index; one walk of the
+// sets in id order (b.setLen over b.members) then fills it, so every
+// worker's set ids come out ascending. The flat members are not kept.
 func (b *builder) finish(c *Collection, st Stats) {
-	numSets := len(b.roots)
 	c.roots = b.roots
-	c.setOff = make([]int32, numSets+1)
-	for j, l := range b.setLen {
-		c.setOff[j+1] = c.setOff[j] + l
-	}
-	c.setMembers = b.members
-
 	c.coverOff = make([]int32, b.n+1)
 	for w, cnt := range b.coverage {
 		c.coverOff[w+1] = c.coverOff[w] + cnt
@@ -233,14 +217,16 @@ func (b *builder) finish(c *Collection, st Stats) {
 	c.coverIDs = make([]int32, len(b.members))
 	cursor := make([]int32, b.n)
 	copy(cursor, c.coverOff[:b.n])
-	for j := 0; j < numSets; j++ {
-		for _, w := range b.members[c.setOff[j]:c.setOff[j+1]] {
+	off := int32(0)
+	for j, l := range b.setLen {
+		for _, w := range b.members[off : off+l] {
 			c.coverIDs[cursor[w]] = int32(j)
 			cursor[w]++
 		}
+		off += l
 	}
 
-	st.NumSets = numSets
+	st.NumSets = len(b.roots)
 	c.stats = st
 }
 
@@ -333,15 +319,8 @@ func Build(g *socialgraph.Graph, p Params) *Collection {
 		b.addSets(add, rng)
 	}
 	b.finish(c, st)
-	if p.DropForwardIndex {
-		c.setOff, c.setMembers = nil, nil
-	}
 	return c
 }
-
-// HasForwardIndex reports whether the per-set membership arrays are
-// retained (false after Params.DropForwardIndex).
-func (c *Collection) HasForwardIndex() bool { return c.setOff != nil }
 
 // Stats returns the run statistics recorded by Build.
 func (c *Collection) Stats() Stats { return c.stats }
@@ -468,17 +447,6 @@ func (c *Collection) CoverageCount(w int32) int {
 // modified.
 func (c *Collection) SetIDs(w int32) []int32 { return c.cover(w) }
 
-// SetMembers returns the members of RRR set id (the root is always
-// included). The slice aliases internal storage and must not be
-// modified. It returns nil when the collection was built with
-// Params.DropForwardIndex.
-func (c *Collection) SetMembers(id int32) []int32 {
-	if c.setOff == nil {
-		return nil
-	}
-	return c.setMembers[c.setOff[id]:c.setOff[id+1]]
-}
-
 // Root returns the root worker of RRR set id.
 func (c *Collection) Root(id int32) int32 { return c.roots[id] }
 
@@ -528,64 +496,25 @@ func (s *sampler) sample(root int32, rng *randx.Rand) []int32 {
 	return s.out
 }
 
-// MonteCarloReference estimates Ppro(ws, ·) by brute-force sampling of
-// RRR sets without any of the RPO bound machinery; tests use it to verify
-// that Build's adaptive schedule converges to the same values.
-func MonteCarloReference(g *socialgraph.Graph, ws int32, sets int, seed uint64) []float64 {
-	n := g.N()
-	out := make([]float64, n)
-	if n == 0 || sets <= 0 {
-		return out
-	}
-	rng := randx.New(seed)
-	smp := newSampler(g)
-	counts := make([]int32, n)
-	for j := 0; j < sets; j++ {
-		root := int32(rng.Intn(n))
-		set := smp.sample(root, rng)
-		for _, w := range set {
-			if w == ws {
-				counts[root]++
-				break
-			}
-		}
-	}
-	scale := float64(n) / float64(sets)
-	for i := range out {
-		out[i] = scale * float64(counts[i])
-		if out[i] > 1 {
-			out[i] = 1
-		}
-	}
-	out[ws] = 0
-	return out
-}
-
 // Wire is the collection's serialized form, part of the framework
 // artifact's pinned wire format (see internal/fwio): the flat CSR
 // arrays exactly as Build laid them out, minus the graph (the artifact
-// carries the graph once; FromWire reattaches it). A collection built
-// with Params.DropForwardIndex serializes with the forward index absent
-// and round-trips to the same dropped state.
+// carries the graph once; FromWire reattaches it).
 type Wire struct {
-	Roots      []int32 `json:"roots"`
-	SetOff     []int32 `json:"set_off,omitempty"`
-	SetMembers []int32 `json:"set_members,omitempty"`
-	CoverOff   []int32 `json:"cover_off"`
-	CoverIDs   []int32 `json:"cover_ids"`
-	Stats      Stats   `json:"stats"`
+	Roots    []int32 `json:"roots"`
+	CoverOff []int32 `json:"cover_off"`
+	CoverIDs []int32 `json:"cover_ids"`
+	Stats    Stats   `json:"stats"`
 }
 
 // Wire returns the collection's serialized form. The arrays alias
 // collection storage; callers must treat them as read-only.
 func (c *Collection) Wire() Wire {
 	return Wire{
-		Roots:      c.roots,
-		SetOff:     c.setOff,
-		SetMembers: c.setMembers,
-		CoverOff:   c.coverOff,
-		CoverIDs:   c.coverIDs,
-		Stats:      c.stats,
+		Roots:    c.roots,
+		CoverOff: c.coverOff,
+		CoverIDs: c.coverIDs,
+		Stats:    c.stats,
 	}
 }
 
@@ -626,30 +555,11 @@ func FromWire(g *socialgraph.Graph, w Wire) (*Collection, error) {
 			return nil, fmt.Errorf("rrr: wire cover entry %d names set %d outside [0,%d)", i, id, numSets)
 		}
 	}
-	if w.SetOff == nil {
-		if len(w.SetMembers) != 0 {
-			return nil, fmt.Errorf("rrr: wire has %d set members but no set offsets", len(w.SetMembers))
-		}
-	} else {
-		if len(w.SetOff) != numSets+1 {
-			return nil, fmt.Errorf("rrr: wire forward index has %d offsets for %d sets (want %d)", len(w.SetOff), numSets, numSets+1)
-		}
-		if !csrValid(w.SetOff, len(w.SetMembers)) {
-			return nil, fmt.Errorf("rrr: wire forward-index offsets are not a valid CSR over %d members", len(w.SetMembers))
-		}
-		for i, m := range w.SetMembers {
-			if m < 0 || int(m) >= n {
-				return nil, fmt.Errorf("rrr: wire set member %d is worker %d outside [0,%d)", i, m, n)
-			}
-		}
-	}
 	return &Collection{
-		g:          g,
-		roots:      w.Roots,
-		setOff:     w.SetOff,
-		setMembers: w.SetMembers,
-		coverOff:   w.CoverOff,
-		coverIDs:   w.CoverIDs,
-		stats:      w.Stats,
+		g:        g,
+		roots:    w.Roots,
+		coverOff: w.CoverOff,
+		coverIDs: w.CoverIDs,
+		stats:    w.Stats,
 	}, nil
 }

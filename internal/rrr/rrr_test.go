@@ -208,71 +208,50 @@ func TestParamsDefaults(t *testing.T) {
 
 func TestBuildParallelismInvariant(t *testing.T) {
 	// The headline determinism contract of the parallel sampler: for a
-	// fixed Seed the collection — roots, forward and inverted indexes,
-	// stats, every unexported byte — is bit-identical at every
-	// Parallelism, including the inline sequential path.
+	// fixed Seed the collection — roots, inverted index, stats, every
+	// unexported byte — is bit-identical at every Parallelism, including
+	// the inline sequential path.
 	g := socialgraph.GeneratePreferentialAttachment(120, 2, randx.New(21))
 	paralleltest.Invariant(t, func(par int) any {
 		return Build(g, Params{Seed: 22, Parallelism: par})
 	})
 }
 
-func TestDropForwardIndexPreservesQueries(t *testing.T) {
-	g := socialgraph.GeneratePreferentialAttachment(90, 2, randx.New(31))
-	kept := Build(g, Params{Seed: 32})
-	dropped := Build(g, Params{Seed: 32, DropForwardIndex: true})
-	if !kept.HasForwardIndex() {
-		t.Fatal("default build lost its forward index")
-	}
-	if dropped.HasForwardIndex() {
-		t.Fatal("DropForwardIndex build retained the forward index")
-	}
-	if dropped.NumSets() != kept.NumSets() || dropped.Stats() != kept.Stats() {
-		t.Fatalf("dropped build stats differ: %+v vs %+v", dropped.Stats(), kept.Stats())
-	}
-	// Every inverted-index query is unaffected.
-	for ws := int32(0); ws < int32(g.N()); ws++ {
-		if !slices.Equal(dropped.SetIDs(ws), kept.SetIDs(ws)) {
-			t.Fatalf("cover of worker %d differs after drop", ws)
-		}
-		if !slices.Equal(dropped.Propagation(ws), kept.Propagation(ws)) {
-			t.Fatalf("Ppro(%d, ·) differs after drop", ws)
-		}
-		if dropped.PropagationSum(ws) != kept.PropagationSum(ws) {
-			t.Fatalf("propagation sum of %d differs after drop", ws)
-		}
-		if dropped.CoverageCount(ws) != kept.CoverageCount(ws) {
-			t.Fatalf("coverage count of %d differs after drop", ws)
-		}
-	}
-	// Seed selection runs purely on the inverted index.
-	a, b := dropped.TopKSeeds(5), kept.TopKSeeds(5)
-	if !slices.Equal(a.Seeds, b.Seeds) || !slices.Equal(a.Spread, b.Spread) {
-		t.Fatalf("TopKSeeds differs after drop: %+v vs %+v", a, b)
-	}
-	// Per-set enumeration is the one documented casualty.
-	if dropped.SetMembers(0) != nil {
-		t.Error("SetMembers on a dropped collection should return nil")
-	}
-	if kept.SetMembers(0) == nil {
-		t.Error("SetMembers on a kept collection should work")
-	}
-}
-
 func TestCSRIndexConsistent(t *testing.T) {
+	// Drive the builder through Build's schedule — a discarded batch,
+	// then two accumulated ones — and keep its per-set lengths and flat
+	// members as the reference the cover index must transpose.
 	g := socialgraph.GeneratePreferentialAttachment(70, 2, randx.New(23))
-	c := Build(g, Params{Seed: 24, MaxSets: 2000})
-	// The inverted index must be exactly the transpose of the forward
+	rng := randx.New(24)
+	b := newBuilder(g, 2)
+	b.addSets(700, rng)
+	b.reset()
+	b.addSets(900, rng)
+	b.addSets(1100, rng)
+	roots := slices.Clone(b.roots)
+	setLen := slices.Clone(b.setLen)
+	members := slices.Clone(b.members)
+	c := &Collection{g: g}
+	b.finish(c, Stats{})
+	if c.NumSets() != len(setLen) || c.Stats().NumSets != len(setLen) {
+		t.Fatalf("collection has %d sets (stats %d), builder sampled %d", c.NumSets(), c.Stats().NumSets, len(setLen))
+	}
+	// The inverted index must be exactly the transpose of the sampled
 	// sets, with ascending ids per worker.
 	covered := make(map[int32][]int32)
-	for j := int32(0); j < int32(c.NumSets()); j++ {
-		members := c.SetMembers(j)
-		if len(members) == 0 || members[0] != c.Root(j) {
+	off := int32(0)
+	for j, l := range setLen {
+		set := members[off : off+l]
+		off += l
+		if len(set) == 0 || set[0] != roots[j] || c.Root(int32(j)) != roots[j] {
 			t.Fatalf("set %d does not lead with its root", j)
 		}
-		for _, w := range members {
-			covered[w] = append(covered[w], j)
+		for _, w := range set {
+			covered[w] = append(covered[w], int32(j))
 		}
+	}
+	if int(off) != len(members) {
+		t.Fatalf("set lengths cover %d members, builder holds %d", off, len(members))
 	}
 	for w := int32(0); w < int32(g.N()); w++ {
 		ids := c.SetIDs(w)
@@ -309,4 +288,37 @@ func TestRootCountsMatchesCover(t *testing.T) {
 			}
 		}
 	}
+}
+
+// MonteCarloReference estimates Ppro(ws, ·) by brute-force sampling of
+// RRR sets without any of the RPO bound machinery; tests use it to verify
+// that Build's adaptive schedule converges to the same values.
+func MonteCarloReference(g *socialgraph.Graph, ws int32, sets int, seed uint64) []float64 {
+	n := g.N()
+	out := make([]float64, n)
+	if n == 0 || sets <= 0 {
+		return out
+	}
+	rng := randx.New(seed)
+	smp := newSampler(g)
+	counts := make([]int32, n)
+	for j := 0; j < sets; j++ {
+		root := int32(rng.Intn(n))
+		set := smp.sample(root, rng)
+		for _, w := range set {
+			if w == ws {
+				counts[root]++
+				break
+			}
+		}
+	}
+	scale := float64(n) / float64(sets)
+	for i := range out {
+		out[i] = scale * float64(counts[i])
+		if out[i] > 1 {
+			out[i] = 1
+		}
+	}
+	out[ws] = 0
+	return out
 }
