@@ -1,6 +1,9 @@
 // Command dita-bench regenerates the paper's evaluation figures (5–16)
 // on the simulated Brightkite-like and FourSquare-like datasets and
 // prints each figure's series as aligned tables (and optionally CSV).
+// It is the figure and shard harness of the experimental study; a
+// streaming trace is replayed by dita-sim -stream, in-process or, with
+// -serve, against a live dita-serve.
 //
 // Usage:
 //
@@ -103,38 +106,8 @@ func main() {
 		shardTimeout = flag.Duration("shard-timeout", 15*time.Minute, "per-attempt deadline for an orchestrated worker (0 = none)")
 		retries      = flag.Int("retries", 3, "how many times the orchestrator relaunches a failed worker")
 		retryBase    = flag.Duration("retry-base", time.Second, "base delay of the orchestrator's capped exponential backoff")
-
-		serveLoad      = flag.String("serve-load", "", "replay a trace against a running dita-serve at this base URL (e.g. http://127.0.0.1:8080) and exit")
-		serveRegion    = flag.String("serve-region", "default", "serve-load: target region")
-		servePreset    = flag.String("serve-preset", "bk", "serve-load: dataset preset the trace samples from (must match the server's framework)")
-		serveDay       = flag.Int("serve-day", 25, "serve-load: evaluation day; the trace and grid start at day*24h")
-		serveArrivals  = flag.Int("serve-arrivals", 400, "serve-load: workers and tasks in the trace")
-		serveTraceSeed = flag.Uint64("serve-trace-seed", 1, "serve-load: trace sampling seed")
-		serveSpread    = flag.Float64("serve-spread", 12, "serve-load: arrival window length in hours")
-		serveRadius    = flag.Float64("serve-radius", 25, "serve-load: worker reachable radius in km")
-		serveValid     = flag.Float64("serve-valid", 5, "serve-load: minimum task validity in hours")
-		serveValidSpan = flag.Float64("serve-valid-span", 2, "serve-load: task validity is uniform in [valid, valid+span)")
-		serveStep      = flag.Float64("serve-step", 0.5, "serve-load: hours between explicit instants (deterministic mode)")
-		serveHorizon   = flag.Float64("serve-horizon", 24, "serve-load: simulated hours replayed after the evaluation day")
-		serveSpeedup   = flag.Float64("serve-speedup", 0, "serve-load: wall-clock pacing multiple of trace time; 0 = deterministic grid replay with explicit instants")
 	)
 	flag.Parse()
-
-	if *serveLoad != "" {
-		if *shardFlag != "" || *shardOut != "" || *mergeFlag != "" || *orchestrate != 0 || *trainOut != "" || *framework != "" {
-			log.Fatal("-serve-load is a standalone client mode; it cannot be combined with -shard/-merge/-orchestrate/-train-out/-framework")
-		}
-		if err := runServeLoad(serveLoadConfig{
-			url: *serveLoad, region: *serveRegion, preset: *servePreset,
-			day: *serveDay, arrivals: *serveArrivals, traceSeed: *serveTraceSeed,
-			spread: *serveSpread, radius: *serveRadius,
-			valid: *serveValid, validSpan: *serveValidSpan,
-			step: *serveStep, horizon: *serveHorizon, speedup: *serveSpeedup,
-		}); err != nil {
-			log.Fatalf("serve-load: %v", err)
-		}
-		return
-	}
 
 	if *trainOut != "" && *framework != "" {
 		log.Fatal("-train-out and -framework are mutually exclusive: train fresh or serve a saved framework, not both")
@@ -150,7 +123,7 @@ func main() {
 	}
 	names := splitList(*datasetsFlag)
 	for _, name := range names {
-		if _, err := datasetPreset(name); err != nil {
+		if _, err := dataset.Preset(name); err != nil {
 			log.Fatal(err)
 		}
 	}
@@ -189,7 +162,7 @@ func main() {
 			datasets:   names,
 			frameworks: fwPaths,
 			trainFramework: func(name, outPath string) (string, error) {
-				dp, err := datasetPreset(name)
+				dp, err := dataset.Preset(name)
 				if err != nil {
 					return "", err
 				}
@@ -215,7 +188,7 @@ func main() {
 			log.Fatalf("-train-out needs one artifact path per dataset: %d datasets, %d paths", len(names), len(paths))
 		}
 		for i, name := range names {
-			dp, _ := datasetPreset(name)
+			dp, _ := dataset.Preset(name)
 			sum, err := trainArtifact(dp, *scale, *days, *seed, *par, paths[i])
 			if err != nil {
 				log.Fatalf("train-out: %v", err)
@@ -303,7 +276,7 @@ func main() {
 
 	var shardFigs []*experiments.SweepRaw
 	for i, name := range names {
-		dp, _ := datasetPreset(name)
+		dp, _ := dataset.Preset(name)
 		var fw *core.Framework
 		if fws != nil {
 			fw = fws[i]
@@ -437,18 +410,6 @@ func splitList(s string) []string {
 	return out
 }
 
-// datasetPreset maps a -datasets entry to its generator parameters.
-func datasetPreset(name string) (dataset.Params, error) {
-	switch strings.ToLower(name) {
-	case "bk":
-		return dataset.BrightkiteLike(), nil
-	case "fs":
-		return dataset.FoursquareLike(), nil
-	default:
-		return dataset.Params{}, fmt.Errorf("unknown dataset %q (want bk or fs)", name)
-	}
-}
-
 // evalParams resolves the evaluation protocol for one dataset: the
 // scale's parameter set and sweep grids, with the seed, pool bound and
 // day-window override applied.
@@ -478,16 +439,6 @@ func trainConfig(par int) core.Config {
 	return core.Config{TopWillingnessLocations: 8, Parallelism: par}
 }
 
-// frameworkSource canonically identifies a framework's training input:
-// the dataset generator parameters that matter for the training set and
-// the offline/online cutoff. It is recorded into the artifact at
-// -train-out and recomputed at -framework load; a mismatch means the
-// artifact was fitted for a different run and must not serve it.
-func frameworkSource(dp dataset.Params, cutoffHours float64) string {
-	return fmt.Sprintf("dataset=%s users=%d venues=%d days=%d dataset-seed=%d cutoff-h=%g",
-		dp.Name, dp.NumUsers, dp.NumVenues, dp.Days, dp.Seed, cutoffHours)
-}
-
 // trainArtifact runs the offline phase for one dataset — generate,
 // train, seal — and writes the framework artifact to outPath, returning
 // its content checksum.
@@ -507,7 +458,7 @@ func trainArtifact(dp dataset.Params, scale string, daysOverride int, seed uint6
 	if err != nil {
 		return "", fmt.Errorf("train %s: %w", dp.Name, err)
 	}
-	sum, err := fwio.Write(outPath, runner.FW, frameworkSource(dp, cutoff))
+	sum, err := fwio.Write(outPath, runner.FW, dp.TrainingSource(cutoff))
 	if err != nil {
 		return "", err
 	}
@@ -532,7 +483,7 @@ func loadFrameworks(list string, names []string, scale string, daysOverride int,
 		sums []string
 	)
 	for i, name := range names {
-		dp, err := datasetPreset(name)
+		dp, err := dataset.Preset(name)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -545,7 +496,7 @@ func loadFrameworks(list string, names []string, scale string, daysOverride int,
 		if err != nil {
 			return nil, nil, err
 		}
-		if want := frameworkSource(dp, cutoff); info.Source != want {
+		if want := dp.TrainingSource(cutoff); info.Source != want {
 			return nil, nil, fmt.Errorf("%s: artifact trained on %q, this run needs %q", paths[i], info.Source, want)
 		}
 		fmt.Printf("loaded framework for %s from %s (sha256 %.12s…)\n", name, paths[i], info.Checksum)

@@ -15,8 +15,8 @@ import (
 	"dita/internal/atomicio"
 	"dita/internal/core"
 	"dita/internal/engine"
-	"dita/internal/geo"
 	"dita/internal/model"
+	"dita/internal/wire"
 )
 
 // serverConfig parameterizes a Server independently of flag parsing so
@@ -249,27 +249,6 @@ func (s *Server) refuseDraining(w http.ResponseWriter) bool {
 	return false
 }
 
-type workerReq struct {
-	User   int32   `json:"user"`
-	X      float64 `json:"x"`
-	Y      float64 `json:"y"`
-	Radius float64 `json:"radius"`
-	At     float64 `json:"at"`
-}
-
-type taskReq struct {
-	X          float64 `json:"x"`
-	Y          float64 `json:"y"`
-	Publish    float64 `json:"publish"`
-	Valid      float64 `json:"valid"`
-	Categories []int32 `json:"categories"`
-	Venue      int32   `json:"venue"`
-}
-
-type instantReq struct {
-	At float64 `json:"at"`
-}
-
 // instantResp is the wire form of an instant: counts, latencies and the
 // matched pairs in platform-stable identities.
 type instantResp struct {
@@ -303,7 +282,7 @@ func (s *Server) handleWorkerArrive(w http.ResponseWriter, req *http.Request) {
 	if r == nil {
 		return
 	}
-	var body workerReq
+	var body wire.Worker
 	if !decodeJSON(w, req, &body) {
 		return
 	}
@@ -312,11 +291,7 @@ func (s *Server) handleWorkerArrive(w http.ResponseWriter, req *http.Request) {
 		return
 	}
 	ap, ir, err := s.arrive(r, engine.Event{
-		Kind: engine.WorkerArrive, At: body.At,
-		Worker: engine.WorkerArrival{
-			User: model.WorkerID(body.User), Loc: geo.Point{X: body.X, Y: body.Y},
-			Radius: body.Radius, At: body.At,
-		},
+		Kind: engine.WorkerArrive, At: body.At, Worker: body.Arrival(),
 	}, body.At)
 	if err != nil {
 		writeArriveErr(w, err)
@@ -337,7 +312,7 @@ func (s *Server) handleTaskArrive(w http.ResponseWriter, req *http.Request) {
 	if r == nil {
 		return
 	}
-	var body taskReq
+	var body wire.Task
 	if !decodeJSON(w, req, &body) {
 		return
 	}
@@ -345,16 +320,8 @@ func (s *Server) handleTaskArrive(w http.ResponseWriter, req *http.Request) {
 		writeErr(w, http.StatusBadRequest, "non-positive validity")
 		return
 	}
-	cats := make([]model.CategoryID, len(body.Categories))
-	for i, c := range body.Categories {
-		cats[i] = model.CategoryID(c)
-	}
 	ap, ir, err := s.arrive(r, engine.Event{
-		Kind: engine.TaskArrive, At: body.Publish,
-		Task: engine.TaskArrival{
-			Loc: geo.Point{X: body.X, Y: body.Y}, Publish: body.Publish,
-			Valid: body.Valid, Categories: cats, Venue: model.VenueID(body.Venue),
-		},
+		Kind: engine.TaskArrive, At: body.Publish, Task: body.Arrival(),
 	}, body.Publish)
 	if err != nil {
 		writeArriveErr(w, err)
@@ -421,7 +388,7 @@ func (s *Server) handleInstant(w http.ResponseWriter, req *http.Request) {
 	if r == nil {
 		return
 	}
-	var body instantReq
+	var body wire.Instant
 	if !decodeJSON(w, req, &body) {
 		return
 	}

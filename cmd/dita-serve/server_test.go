@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
-	"math"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -20,6 +19,7 @@ import (
 	"dita/internal/lda"
 	"dita/internal/simulate"
 	"dita/internal/trace"
+	"dita/internal/wire"
 )
 
 func testFramework(t *testing.T) (*core.Framework, *dataset.Data) {
@@ -119,7 +119,7 @@ func TestServeRoundTrips(t *testing.T) {
 		var got struct {
 			WorkerID int `json:"worker_id"`
 		}
-		body := workerReq{User: int32(wa.User), X: wa.Loc.X, Y: wa.Loc.Y, Radius: wa.Radius, At: wa.At}
+		body := wire.FromWorker(wa)
 		if code := do(t, "POST", ts.URL+"/v1/default/workers", body, &got); code != 200 {
 			t.Fatalf("worker arrival %d: status %d", i, code)
 		}
@@ -131,11 +131,7 @@ func TestServeRoundTrips(t *testing.T) {
 		var got struct {
 			TaskID int `json:"task_id"`
 		}
-		cats := make([]int32, len(ta.Categories))
-		for k, c := range ta.Categories {
-			cats[k] = int32(c)
-		}
-		body := taskReq{X: ta.Loc.X, Y: ta.Loc.Y, Publish: ta.Publish, Valid: ta.Valid, Categories: cats, Venue: int32(ta.Venue)}
+		body := wire.FromTask(ta)
 		if code := do(t, "POST", ts.URL+"/v1/default/tasks", body, &got); code != 200 {
 			t.Fatalf("task arrival %d: status %d", i, code)
 		}
@@ -160,7 +156,7 @@ func TestServeRoundTrips(t *testing.T) {
 
 	// An explicit instant assigns and reports stable-id pairs.
 	var ir instantResp
-	if code := do(t, "POST", ts.URL+"/v1/default/instant", instantReq{At: 101}, &ir); code != 200 {
+	if code := do(t, "POST", ts.URL+"/v1/default/instant", wire.Instant{At: 101}, &ir); code != 200 {
 		t.Fatalf("instant: status %d", code)
 	}
 	if len(ir.Assigned) == 0 {
@@ -243,12 +239,12 @@ func TestServeRejectsInvalidArrivals(t *testing.T) {
 		name, path string
 		body       any
 	}{
-		{"negative user", "/v1/default/workers", workerReq{User: -1, Radius: 5, At: 96}},
-		{"user past graph", "/v1/default/workers", workerReq{User: int32(fw.Graph().N()), Radius: 5, At: 96}},
-		{"negative category", "/v1/default/tasks", taskReq{Publish: 96, Valid: 3, Categories: []int32{-4}}},
-		{"category past vocabulary", "/v1/default/tasks", taskReq{Publish: 96, Valid: 3, Categories: []int32{int32(fw.LDA().Vocab())}}},
-		{"negative venue", "/v1/default/tasks", taskReq{Publish: 96, Valid: 3, Venue: -1}},
-		{"venue past table", "/v1/default/tasks", taskReq{Publish: 96, Valid: 3, Venue: int32(fw.Entropy().VenueSpan())}},
+		{"negative user", "/v1/default/workers", wire.Worker{User: -1, Radius: 5, At: 96}},
+		{"user past graph", "/v1/default/workers", wire.Worker{User: int32(fw.Graph().N()), Radius: 5, At: 96}},
+		{"negative category", "/v1/default/tasks", wire.Task{Publish: 96, Valid: 3, Categories: []int32{-4}}},
+		{"category past vocabulary", "/v1/default/tasks", wire.Task{Publish: 96, Valid: 3, Categories: []int32{int32(fw.LDA().Vocab())}}},
+		{"negative venue", "/v1/default/tasks", wire.Task{Publish: 96, Valid: 3, Venue: -1}},
+		{"venue past table", "/v1/default/tasks", wire.Task{Publish: 96, Valid: 3, Venue: int32(fw.Entropy().VenueSpan())}},
 	}
 	for _, c := range cases {
 		if code := do(t, "POST", ts.URL+c.path, c.body, nil); code != http.StatusBadRequest {
@@ -270,23 +266,19 @@ func TestServeRejectsInvalidArrivals(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, wa := range ws {
-		body := workerReq{User: int32(wa.User), X: wa.Loc.X, Y: wa.Loc.Y, Radius: wa.Radius, At: wa.At}
+		body := wire.FromWorker(wa)
 		if code := do(t, "POST", ts.URL+"/v1/default/workers", body, nil); code != 200 {
 			t.Fatalf("valid worker after rejections: status %d", code)
 		}
 	}
 	for _, ta := range tks {
-		cats := make([]int32, len(ta.Categories))
-		for i, c := range ta.Categories {
-			cats[i] = int32(c)
-		}
-		body := taskReq{X: ta.Loc.X, Y: ta.Loc.Y, Publish: ta.Publish, Valid: ta.Valid, Categories: cats, Venue: int32(ta.Venue)}
+		body := wire.FromTask(ta)
 		if code := do(t, "POST", ts.URL+"/v1/default/tasks", body, nil); code != 200 {
 			t.Fatalf("valid task after rejections: status %d", code)
 		}
 	}
 	var ir instantResp
-	if code := do(t, "POST", ts.URL+"/v1/default/instant", instantReq{At: 97}, &ir); code != 200 || ir.Online != len(ws) || len(ir.Assigned) == 0 {
+	if code := do(t, "POST", ts.URL+"/v1/default/instant", wire.Instant{At: 97}, &ir); code != 200 || ir.Online != len(ws) || len(ir.Assigned) == 0 {
 		t.Fatalf("instant after valid traffic: status %d, %+v", code, ir)
 	}
 	if code := do(t, "GET", ts.URL+"/v1/default/metrics", nil, &m); code != 200 || m.Totals.Instants != 1 {
@@ -334,7 +326,7 @@ func TestServeBatchTriggerFiresInline(t *testing.T) {
 	}
 	for i, wa := range ws {
 		var got map[string]json.RawMessage
-		body := workerReq{User: int32(wa.User), X: wa.Loc.X, Y: wa.Loc.Y, Radius: wa.Radius, At: wa.At}
+		body := wire.FromWorker(wa)
 		if code := do(t, "POST", ts.URL+"/v1/default/workers", body, &got); code != 200 {
 			t.Fatalf("arrival %d: status %d", i, code)
 		}
@@ -366,33 +358,33 @@ func TestServeEarlierInstantsServed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	postWorker := func(body workerReq) int {
+	postWorker := func(body wire.Worker) int {
 		return do(t, "POST", ts.URL+"/v1/default/workers", body, nil)
 	}
-	postTask := func(body taskReq) int {
+	postTask := func(body wire.Task) int {
 		return do(t, "POST", ts.URL+"/v1/default/tasks", body, nil)
 	}
 	// A worker and a task nobody can reach keep both pools non-empty
 	// whatever the instants match.
-	if postWorker(workerReq{User: 0, X: 500, Y: 500, Radius: 0.001, At: 97}) != 200 ||
-		postTask(taskReq{X: -500, Y: -500, Publish: 97, Valid: 1e6, Venue: 1}) != 200 {
+	if postWorker(wire.Worker{User: 0, X: 500, Y: 500, Radius: 0.001, At: 97}) != 200 ||
+		postTask(wire.Task{X: -500, Y: -500, Publish: 97, Valid: 1e6, Venue: 1}) != 200 {
 		t.Fatal("unreachable entities refused")
 	}
 	for _, wa := range ws {
-		if postWorker(workerReq{User: int32(wa.User), X: wa.Loc.X, Y: wa.Loc.Y, Radius: wa.Radius, At: 97}) != 200 {
+		if postWorker(wire.Worker{User: int32(wa.User), X: wa.Loc.X, Y: wa.Loc.Y, Radius: wa.Radius, At: 97}) != 200 {
 			t.Fatal("worker arrival failed")
 		}
 	}
 	for _, ta := range tks {
-		if postTask(taskReq{X: ta.Loc.X, Y: ta.Loc.Y, Publish: 97, Valid: ta.Valid, Venue: int32(ta.Venue)}) != 200 {
+		if postTask(wire.Task{X: ta.Loc.X, Y: ta.Loc.Y, Publish: 97, Valid: ta.Valid, Venue: int32(ta.Venue)}) != 200 {
 			t.Fatal("task arrival failed")
 		}
 	}
-	if code := do(t, "POST", ts.URL+"/v1/default/instant", instantReq{At: 99}, nil); code != 200 {
+	if code := do(t, "POST", ts.URL+"/v1/default/instant", wire.Instant{At: 99}, nil); code != 200 {
 		t.Fatalf("instant at 99: status %d", code)
 	}
 	var earlier instantResp
-	if code := do(t, "POST", ts.URL+"/v1/default/instant", instantReq{At: 98}, &earlier); code >= 500 {
+	if code := do(t, "POST", ts.URL+"/v1/default/instant", wire.Instant{At: 98}, &earlier); code >= 500 {
 		t.Fatalf("earlier instant: status %d", code)
 	}
 	if earlier.Online == 0 || earlier.Open == 0 {
@@ -401,12 +393,12 @@ func TestServeEarlierInstantsServed(t *testing.T) {
 	// Three later arrivals, then one timed before every instant so far:
 	// the fourth reaches the batch threshold and fires at its own time.
 	for i := 0; i < 3; i++ {
-		if postWorker(workerReq{User: int32(ws[i].User), X: ws[i].Loc.X, Y: ws[i].Loc.Y, Radius: ws[i].Radius, At: 99.5}) != 200 {
+		if postWorker(wire.Worker{User: int32(ws[i].User), X: ws[i].Loc.X, Y: ws[i].Loc.Y, Radius: ws[i].Radius, At: 99.5}) != 200 {
 			t.Fatal("worker arrival failed")
 		}
 	}
 	var got map[string]json.RawMessage
-	body := taskReq{X: tks[0].Loc.X, Y: tks[0].Loc.Y, Publish: 96.5, Valid: tks[0].Valid, Venue: int32(tks[0].Venue)}
+	body := wire.Task{X: tks[0].Loc.X, Y: tks[0].Loc.Y, Publish: 96.5, Valid: tks[0].Valid, Venue: int32(tks[0].Venue)}
 	if code := do(t, "POST", ts.URL+"/v1/default/tasks", body, &got); code >= 500 {
 		t.Fatalf("earlier batch-triggering arrival: status %d", code)
 	}
@@ -421,7 +413,7 @@ func TestServeEarlierInstantsServed(t *testing.T) {
 	if m.Totals.Instants != 7 || m.LastInstant.At != 96.5 {
 		t.Fatalf("metrics after the earlier instants: %+v", m)
 	}
-	if code := do(t, "POST", ts.URL+"/v1/default/instant", instantReq{At: 100}, nil); code != 200 {
+	if code := do(t, "POST", ts.URL+"/v1/default/instant", wire.Instant{At: 100}, nil); code != 200 {
 		t.Fatalf("later instant: status %d", code)
 	}
 	if err := srv.Drain(); err != nil {
@@ -450,7 +442,7 @@ func TestServeRegionsAreIsolated(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, wa := range ws {
-		body := workerReq{User: int32(wa.User), X: wa.Loc.X, Y: wa.Loc.Y, Radius: wa.Radius, At: wa.At}
+		body := wire.FromWorker(wa)
 		if code := do(t, "POST", ts.URL+"/v1/east/workers", body, nil); code != 200 {
 			t.Fatal("east arrival failed")
 		}
@@ -465,7 +457,7 @@ func TestServeRegionsAreIsolated(t *testing.T) {
 	var got struct {
 		WorkerID int `json:"worker_id"`
 	}
-	body := workerReq{User: int32(ws[0].User), X: ws[0].Loc.X, Y: ws[0].Loc.Y, Radius: 25, At: 96}
+	body := wire.Worker{User: int32(ws[0].User), X: ws[0].Loc.X, Y: ws[0].Loc.Y, Radius: 25, At: 96}
 	do(t, "POST", ts.URL+"/v1/west/workers", body, &got)
 	if got.WorkerID != 0 {
 		t.Fatalf("west minted id %d, want 0", got.WorkerID)
@@ -488,13 +480,13 @@ func TestServeDrainCompletesInFlightInstant(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, wa := range ws {
-		body := workerReq{User: int32(wa.User), X: wa.Loc.X, Y: wa.Loc.Y, Radius: wa.Radius, At: wa.At}
+		body := wire.FromWorker(wa)
 		if code := do(t, "POST", ts.URL+"/v1/default/workers", body, nil); code != 200 {
 			t.Fatal("arrival failed")
 		}
 	}
 	for _, ta := range tks {
-		body := taskReq{X: ta.Loc.X, Y: ta.Loc.Y, Publish: ta.Publish, Valid: ta.Valid, Venue: int32(ta.Venue)}
+		body := wire.Task{X: ta.Loc.X, Y: ta.Loc.Y, Publish: ta.Publish, Valid: ta.Valid, Venue: int32(ta.Venue)}
 		if code := do(t, "POST", ts.URL+"/v1/default/tasks", body, nil); code != 200 {
 			t.Fatal("task failed")
 		}
@@ -511,7 +503,7 @@ func TestServeDrainCompletesInFlightInstant(t *testing.T) {
 	instantDone := make(chan instantResp, 1)
 	go func() {
 		var ir instantResp
-		do(t, "POST", ts.URL+"/v1/default/instant", instantReq{At: 99}, &ir)
+		do(t, "POST", ts.URL+"/v1/default/instant", wire.Instant{At: 99}, &ir)
 		instantDone <- ir
 	}()
 	<-entered
@@ -555,10 +547,10 @@ func TestServeDrainCompletesInFlightInstant(t *testing.T) {
 	}
 
 	// Post-drain events are refused, and a second drain is a no-op.
-	if code := do(t, "POST", ts.URL+"/v1/default/workers", workerReq{User: 1, Radius: 1}, nil); code != 503 {
+	if code := do(t, "POST", ts.URL+"/v1/default/workers", wire.Worker{User: 1, Radius: 1}, nil); code != 503 {
 		t.Fatalf("post-drain arrival: status %d, want 503", code)
 	}
-	if code := do(t, "POST", ts.URL+"/v1/default/instant", instantReq{At: 100}, nil); code != 503 {
+	if code := do(t, "POST", ts.URL+"/v1/default/instant", wire.Instant{At: 100}, nil); code != 503 {
 		t.Fatalf("post-drain instant: status %d, want 503", code)
 	}
 	if err := srv.Drain(); err != nil {
@@ -568,8 +560,9 @@ func TestServeDrainCompletesInFlightInstant(t *testing.T) {
 
 // TestServeMatchesSimulateReplay is the in-process form of the CI serve
 // smoke: the same trace replayed once through simulate.Platform and once
-// through the HTTP endpoints (grid admissions + explicit instants) must
-// drain a byte-identical assignment CSV.
+// through the HTTP endpoints — the same schedule (grid admissions +
+// explicit instants) in its wire form — must drain a byte-identical
+// assignment CSV.
 func TestServeMatchesSimulateReplay(t *testing.T) {
 	fw, data := testFramework(t)
 	tp := trace.Params{Arrivals: 60, Seed: 13, Start: 96, Spread: 12, RadiusKm: 25, ValidMin: 3, ValidSpan: 3}
@@ -577,11 +570,9 @@ func TestServeMatchesSimulateReplay(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	const start, step, horizon = 96.0, 1.0, 14.0
+	cfg := simulate.Config{Algorithm: assign.IA, Step: 1, Start: 96, Horizon: 14, Seed: 7}
 
-	p, err := simulate.New(fw, simulate.Config{
-		Algorithm: assign.IA, Step: step, Start: start, Horizon: horizon, Seed: 7,
-	})
+	p, err := simulate.New(fw, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -599,32 +590,17 @@ func TestServeMatchesSimulateReplay(t *testing.T) {
 		engine:  engine.Config{Trigger: engine.ManualTrigger{}},
 		csvPath: csvPath,
 	})
-	wi, ti := 0, 0
-	count := int(math.Floor(horizon/step + 1e-9))
-	for i := 0; i <= count; i++ {
-		now := start + float64(i)*step
-		for wi < len(ws) && ws[wi].At <= now {
-			wa := ws[wi]
-			body := workerReq{User: int32(wa.User), X: wa.Loc.X, Y: wa.Loc.Y, Radius: wa.Radius, At: wa.At}
-			if code := do(t, "POST", ts.URL+"/v1/default/workers", body, nil); code != 200 {
-				t.Fatal("arrival failed")
-			}
-			wi++
+	sched, err := cfg.Schedule(ws, tks)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for ev := range sched {
+		path, body, err := wire.Post(ev)
+		if err != nil {
+			t.Fatal(err)
 		}
-		for ti < len(tks) && tks[ti].Publish <= now {
-			ta := tks[ti]
-			cats := make([]int32, len(ta.Categories))
-			for k, c := range ta.Categories {
-				cats[k] = int32(c)
-			}
-			body := taskReq{X: ta.Loc.X, Y: ta.Loc.Y, Publish: ta.Publish, Valid: ta.Valid, Categories: cats, Venue: int32(ta.Venue)}
-			if code := do(t, "POST", ts.URL+"/v1/default/tasks", body, nil); code != 200 {
-				t.Fatal("task failed")
-			}
-			ti++
-		}
-		if code := do(t, "POST", ts.URL+"/v1/default/instant", instantReq{At: now}, nil); code != 200 {
-			t.Fatal("instant failed")
+		if code := do(t, "POST", ts.URL+"/v1/default"+path, body, nil); code != 200 {
+			t.Fatalf("POST %s: status %d", path, code)
 		}
 	}
 	if err := srv.Drain(); err != nil {

@@ -4,10 +4,14 @@
 // metrics. It is the manual-inspection tool of the repository.
 //
 // With -stream it instead replays a deterministic arrival trace
-// (internal/trace) through the streaming engine on a fixed instant grid
-// (simulate.Platform) and writes the streaming assignment CSV — the
-// batch reference the CI serve smoke diffs byte for byte against a live
-// dita-serve fed the identical trace by dita-bench -serve-load.
+// (internal/trace) on a fixed instant grid (simulate.Config.Schedule:
+// due workers, then due tasks, then the instant) through the streaming
+// engine and writes the streaming assignment CSV. With -stream -serve
+// <base URL> it posts the same schedule to a running dita-serve region
+// instead (the URL names the region, e.g.
+// http://127.0.0.1:8099/v1/default) and skips training: the server holds
+// the framework, the algorithm settings and the drained CSV. The CI
+// serve smoke diffs the two CSVs byte for byte.
 //
 // -train-out seals the trained framework into a fwio artifact;
 // -framework loads one instead of training (the source fingerprint must
@@ -19,6 +23,7 @@
 //	dita-sim -data ./data/bk -day 25 -alg EIA -mask IA-AW -v
 //	dita-sim -preset bk -alg MIX -parallel 4 -assign-csv /tmp/mix.csv
 //	dita-sim -stream -train-out /tmp/fw.json -assign-csv /tmp/stream.csv
+//	dita-sim -stream -serve http://127.0.0.1:8099/v1/default
 package main
 
 import (
@@ -69,14 +74,24 @@ func main() {
 		step       = flag.Float64("step", 0.5, "stream: hours between assignment instants")
 		horizon    = flag.Float64("horizon", 24, "stream: simulated hours after the evaluation day")
 		sessionCap = flag.Int("session-cap", 0, "stream: bound the influence cache to this many entries, FIFO eviction (0 = unbounded)")
+		serveURL   = flag.String("serve", "", "stream: post the trace to a running dita-serve region at this base URL (e.g. http://127.0.0.1:8099/v1/default) instead of replaying it in-process")
 	)
 	flag.Parse()
+
+	if *serveURL != "" {
+		if !*stream {
+			log.Fatal("-serve posts the -stream trace; add -stream")
+		}
+		if *trainOut != "" || *fwPath != "" || *csvPath != "" {
+			log.Fatal("-serve replays against a running dita-serve, which holds the framework and drains the CSV; it cannot be combined with -train-out, -framework or -assign-csv")
+		}
+	}
 
 	alg, err := assign.ParseAlgorithm(*algName)
 	if err != nil {
 		log.Fatal(err)
 	}
-	comps, err := parseMask(*mask)
+	comps, err := influence.ParseComponents(*mask)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -88,14 +103,9 @@ func main() {
 			log.Fatalf("load: %v", err)
 		}
 	} else {
-		var p dataset.Params
-		switch *preset {
-		case "bk":
-			p = dataset.BrightkiteLike()
-		case "fs":
-			p = dataset.FoursquareLike()
-		default:
-			log.Fatalf("unknown preset %q", *preset)
+		p, err := dataset.Preset(*preset)
+		if err != nil {
+			log.Fatal(err)
 		}
 		start := time.Now() //dita:wallclock
 		data, err = dataset.Generate(p)
@@ -107,7 +117,25 @@ func main() {
 	}
 
 	cutoff := float64(*day) * 24
-	source := frameworkSource(data.Params, cutoff)
+	sp := streamParams{
+		trace: trace.Params{
+			Arrivals: *arrivals, Seed: *traceSeed, Start: cutoff, Spread: *spread,
+			RadiusKm: *radius, ValidMin: *valid, ValidSpan: *validSpan,
+		},
+		sim: simulate.Config{
+			Algorithm: alg, Components: comps, Seed: *seed, Parallelism: *par,
+			Step: *step, Start: cutoff, Horizon: *horizon, SessionCapacity: *sessionCap,
+		},
+		csvPath: *csvPath,
+	}
+	if *serveURL != "" {
+		if err := runServe(*serveURL, data, sp); err != nil {
+			log.Fatalf("serve: %v", err)
+		}
+		return
+	}
+
+	source := data.Params.TrainingSource(cutoff)
 	var fw *core.Framework
 	if *fwPath != "" {
 		loaded, info, err := fwio.Load(*fwPath)
@@ -143,12 +171,7 @@ func main() {
 	}
 
 	if *stream {
-		runStream(fw, data, streamParams{
-			alg: alg, comps: comps, seed: *seed, par: *par, sessionCap: *sessionCap,
-			arrivals: *arrivals, traceSeed: *traceSeed, start: cutoff, spread: *spread,
-			radius: *radius, validMin: *valid, validSpan: *validSpan,
-			step: *step, horizon: *horizon, csvPath: *csvPath,
-		})
+		runStream(fw, data, sp)
 		return
 	}
 
@@ -196,41 +219,25 @@ func main() {
 	}
 }
 
-// streamParams bundles everything the -stream replay needs.
+// streamParams bundles everything the -stream replay needs: the trace
+// to build and the grid replay to run it on.
 type streamParams struct {
-	alg        assign.Algorithm
-	comps      influence.Components
-	seed       uint64
-	par        int
-	sessionCap int
-
-	arrivals            int
-	traceSeed           uint64
-	start, spread       float64
-	radius              float64
-	validMin, validSpan float64
-	step, horizon       float64
-	csvPath             string
+	trace   trace.Params
+	sim     simulate.Config
+	csvPath string
 }
 
 // runStream replays a deterministic arrival trace through the streaming
 // engine on the instant grid and prints the run summary. The trace is
-// rebuilt from (dataset, trace params) rather than shipped, so an
-// independent process with the same flags — dita-bench -serve-load
-// against a live dita-serve — replays the identical workload, and the
-// two assignment CSVs can be diffed byte for byte.
+// rebuilt from (dataset, trace params) rather than shipped, so a -serve
+// run with the same flags posts the identical workload to a live
+// dita-serve, and the two assignment CSVs can be diffed byte for byte.
 func runStream(fw *core.Framework, data *dataset.Data, p streamParams) {
-	ws, ts, err := trace.Build(data, trace.Params{
-		Arrivals: p.arrivals, Seed: p.traceSeed, Start: p.start, Spread: p.spread,
-		RadiusKm: p.radius, ValidMin: p.validMin, ValidSpan: p.validSpan,
-	})
+	ws, ts, err := trace.Build(data, p.trace)
 	if err != nil {
 		log.Fatalf("trace: %v", err)
 	}
-	plat, err := simulate.New(fw, simulate.Config{
-		Algorithm: p.alg, Components: p.comps, Seed: p.seed, Parallelism: p.par,
-		Step: p.step, Start: p.start, Horizon: p.horizon, SessionCapacity: p.sessionCap,
-	})
+	plat, err := simulate.New(fw, p.sim)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -243,7 +250,7 @@ func runStream(fw *core.Framework, data *dataset.Data, p streamParams) {
 	totals := plat.Engine().Totals()
 
 	fmt.Printf("\n%s streamed over [%g, %g]h in %g-h instants (%d arrivals each side):\n",
-		p.alg, p.start, p.start+p.horizon, p.step, p.arrivals)
+		p.sim.Algorithm, p.sim.Start, p.sim.Start+p.sim.Horizon, p.sim.Step, p.trace.Arrivals)
 	fmt.Printf("  instants             %d\n", totals.Instants)
 	fmt.Printf("  assigned tasks       %d\n", totals.Assigned)
 	fmt.Printf("  expired tasks        %d\n", totals.Expired)
@@ -258,16 +265,6 @@ func runStream(fw *core.Framework, data *dataset.Data, p streamParams) {
 		}
 		fmt.Printf("  assignment CSV       %s (%d rows)\n", p.csvPath, totals.Assigned)
 	}
-}
-
-// frameworkSource canonically identifies a framework's training input —
-// the dataset parameters that shape the training set plus the
-// offline/online cutoff. It must stay formatted exactly as dita-bench
-// writes it, so artifacts sealed by either tool interoperate: a
-// -framework load refuses an artifact fitted for a different run.
-func frameworkSource(dp dataset.Params, cutoffHours float64) string {
-	return fmt.Sprintf("dataset=%s users=%d venues=%d days=%d dataset-seed=%d cutoff-h=%g",
-		dp.Name, dp.NumUsers, dp.NumVenues, dp.Days, dp.Seed, cutoffHours)
 }
 
 // writeAssignCSV dumps the assignment in a fully deterministic text
@@ -287,18 +284,4 @@ func writeAssignCSV(path string, inst *model.Instance, set *model.AssignmentSet)
 			strconv.FormatFloat(set.TravelKm[i], 'g', -1, 64))
 	}
 	return atomicio.WriteFile(path, []byte(b.String()), 0o644)
-}
-
-func parseMask(s string) (influence.Components, error) {
-	switch s {
-	case "IA", "all", "ALL":
-		return influence.All, nil
-	case "IA-WP", "WP":
-		return influence.WP, nil
-	case "IA-AP", "AP":
-		return influence.AP, nil
-	case "IA-AW", "AW":
-		return influence.AW, nil
-	}
-	return 0, fmt.Errorf("unknown mask %q (want IA, IA-WP, IA-AP or IA-AW)", s)
 }

@@ -26,6 +26,7 @@ import (
 	"fmt"
 	"math"
 	"sort"
+	"strings"
 
 	"dita/internal/geo"
 	"dita/internal/model"
@@ -111,6 +112,29 @@ func FoursquareLike() Params {
 		MoveScaleKm:           0.5,
 		Seed:                  0xf5ae,
 	}
+}
+
+// Preset returns the parameters of a named preset: "bk"
+// (BrightkiteLike) or "fs" (FoursquareLike), in any case.
+func Preset(name string) (Params, error) {
+	switch strings.ToLower(name) {
+	case "bk":
+		return BrightkiteLike(), nil
+	case "fs":
+		return FoursquareLike(), nil
+	}
+	return Params{}, fmt.Errorf("dataset: unknown preset %q (want bk or fs)", name)
+}
+
+// TrainingSource canonically identifies a framework's training input:
+// the parameters that shape the training set plus the offline/online
+// cutoff in hours. Framework artifacts record it when sealed and every
+// loader compares it against the run it is about to serve, so its
+// format is fixed: changing it orphans every existing artifact and
+// shard journal.
+func (p Params) TrainingSource(cutoffHours float64) string {
+	return fmt.Sprintf("dataset=%s users=%d venues=%d days=%d dataset-seed=%d cutoff-h=%g",
+		p.Name, p.NumUsers, p.NumVenues, p.Days, p.Seed, cutoffHours)
 }
 
 // Validate reports the first problem with p, or nil.

@@ -37,6 +37,29 @@ func TestValidatePresets(t *testing.T) {
 	}
 }
 
+func TestPreset(t *testing.T) {
+	for name, want := range map[string]string{"bk": "BK", "BK": "BK", "fs": "FS", "Fs": "FS"} {
+		p, err := Preset(name)
+		if err != nil || p.Name != want {
+			t.Errorf("Preset(%q) = %q, %v; want %q", name, p.Name, err, want)
+		}
+	}
+	if _, err := Preset("gowalla"); err == nil {
+		t.Error("Preset(\"gowalla\") succeeded, want an error")
+	}
+}
+
+// TestTrainingSourcePinned pins the artifact fingerprint: sealed
+// framework artifacts and shard journals already on disk record this
+// exact string, and a changed format would make every loader refuse
+// them.
+func TestTrainingSourcePinned(t *testing.T) {
+	const want = "dataset=BK users=2400 venues=3200 days=30 dataset-seed=46876 cutoff-h=600"
+	if got := BrightkiteLike().TrainingSource(25 * 24); got != want {
+		t.Errorf("TrainingSource = %q, want %q", got, want)
+	}
+}
+
 func TestValidateRejectsBadParams(t *testing.T) {
 	base := smallParams()
 	mutations := []func(*Params){

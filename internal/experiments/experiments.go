@@ -46,7 +46,7 @@ type Params struct {
 	// (figure × x × day) job grid (see Shard): the figure methods then
 	// refuse to reduce — a partial grid has no honest averages — and the
 	// raw sweeps are collected into a ShardResult artifact instead,
-	// merged later by Merge against the other shards' artifacts. The
+	// merged later by MergeRaw against the other shards' artifacts. The
 	// zero value runs everything in-process, unsharded.
 	Shard Shard
 	// Checkpoint, when non-nil, makes the sweeps resumable: each

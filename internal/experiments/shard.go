@@ -1,18 +1,17 @@
 // Cross-process sweep sharding: the (figure × sweep value × day) job
 // grid behind the paper's evaluation partitions deterministically across
 // worker processes, each of which writes a serializable ShardResult
-// carrying the raw per-job core.Metrics it measured. Merge recombines
-// any complete shard set and reduces it with the same float reduction
-// order as the sequential sweep loop, so the merged Results — and the
-// tables and CSV derived from them — are bit-identical to a
-// single-process run (the wall-clock CPU(ms) column aside, which is
-// measured, not computed).
+// carrying the raw per-job core.Metrics it measured. MergeRaw recombines
+// any complete shard set and SweepRaw.Reduce averages each figure with
+// the same float reduction order as the sequential sweep loop, so the
+// merged Results — and the tables and CSV derived from them — are
+// bit-identical to a single-process run (the wall-clock CPU(ms) column
+// aside, which is measured, not computed).
 package experiments
 
 import (
 	"encoding/json"
 	"fmt"
-	"io"
 	"sort"
 	"strconv"
 	"strings"
@@ -207,7 +206,7 @@ func (sr *SweepRaw) Reduce() (*Result, error) {
 // float64), so a merged run loses nothing to serialization.
 //
 // Checksum is the SHA-256 of the artifact's own canonical encoding
-// (itself with Checksum empty), recorded by Encode/Write and verified
+// (itself with Checksum empty), recorded by Encode and verified
 // by every load, so an artifact torn by a crashed or lying writer —
 // truncated, bit-flipped, spliced — is rejected at the merge instead of
 // silently averaged into the figures.
@@ -244,16 +243,6 @@ func (sr *ShardResult) Encode() ([]byte, error) {
 	return append(out, '\n'), nil
 }
 
-// Write seals the artifact and serializes it as indented JSON.
-func (sr *ShardResult) Write(w io.Writer) error {
-	out, err := sr.Encode()
-	if err != nil {
-		return err
-	}
-	_, err = w.Write(out)
-	return err
-}
-
 // DecodeShardResult parses an artifact, verifies its content checksum
 // and validates its shard spec. An artifact without a checksum is
 // rejected too: it either predates the sealed format or lost its seal
@@ -277,15 +266,6 @@ func DecodeShardResult(data []byte) (*ShardResult, error) {
 		return nil, err
 	}
 	return &sr, nil
-}
-
-// ReadShardResult is DecodeShardResult over a stream.
-func ReadShardResult(r io.Reader) (*ShardResult, error) {
-	data, err := io.ReadAll(r)
-	if err != nil {
-		return nil, fmt.Errorf("experiments: reading shard artifact: %w", err)
-	}
-	return DecodeShardResult(data)
 }
 
 // figureKey identifies one figure across shard artifacts.
@@ -380,24 +360,6 @@ func MergeRaw(shards []*ShardResult) ([]*SweepRaw, error) {
 	out := make([]*SweepRaw, len(order))
 	for i, key := range order {
 		out[i] = combined[key]
-	}
-	return out, nil
-}
-
-// Merge is MergeRaw plus the reduction: the figures' Results,
-// bit-identical to a single-process run of the same evaluation.
-func Merge(shards []*ShardResult) ([]*Result, error) {
-	raws, err := MergeRaw(shards)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]*Result, len(raws))
-	for i, raw := range raws {
-		res, err := raw.Reduce()
-		if err != nil {
-			return nil, err
-		}
-		out[i] = res
 	}
 	return out, nil
 }

@@ -58,11 +58,11 @@ func runShardSet(t *testing.T, r *Runner, fig int, sw Sweeps, n int) []*ShardRes
 			t.Fatalf("shard %d/%d of figure %d: %v", i, n, fig, err)
 		}
 		sr := &ShardResult{Shard: run.P.Shard, Seed: run.P.Seed, Figures: []*SweepRaw{raw}}
-		var buf bytes.Buffer
-		if err := sr.Write(&buf); err != nil {
+		out, err := sr.Encode()
+		if err != nil {
 			t.Fatal(err)
 		}
-		back, err := ReadShardResult(&buf)
+		back, err := DecodeShardResult(out)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -117,7 +117,7 @@ func TestShardMergeMatchesUnsharded(t *testing.T) {
 					t.Errorf("figure %d: no zero-job shard at count 5 over a 4-job grid", fig)
 				}
 			}
-			merged, err := Merge(shards)
+			merged, err := mergeReduce(shards)
 			if err != nil {
 				t.Fatalf("figure %d sharded %d ways: merge: %v", fig, n, err)
 			}
@@ -142,15 +142,31 @@ func TestShardMergeMatchesUnsharded(t *testing.T) {
 // cloneShard deep-copies an artifact through its own wire format.
 func cloneShard(t *testing.T, sr *ShardResult) *ShardResult {
 	t.Helper()
-	var buf bytes.Buffer
-	if err := sr.Write(&buf); err != nil {
+	out, err := sr.Encode()
+	if err != nil {
 		t.Fatal(err)
 	}
-	back, err := ReadShardResult(&buf)
+	back, err := DecodeShardResult(out)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return back
+}
+
+// mergeReduce is the coordinator's merge: MergeRaw, then each figure's
+// reduction to its Result.
+func mergeReduce(shards []*ShardResult) ([]*Result, error) {
+	raws, err := MergeRaw(shards)
+	if err != nil {
+		return nil, err
+	}
+	out := make([]*Result, len(raws))
+	for i, raw := range raws {
+		if out[i], err = raw.Reduce(); err != nil {
+			return nil, err
+		}
+	}
+	return out, nil
 }
 
 func TestMergeDetectsBrokenShardSets(t *testing.T) {
@@ -158,42 +174,42 @@ func TestMergeDetectsBrokenShardSets(t *testing.T) {
 	sw := Sweeps{Tasks: []int{30, 45}}
 	shards := runShardSet(t, r, 5, sw, 3)
 
-	if _, err := Merge(nil); err == nil {
+	if _, err := mergeReduce(nil); err == nil {
 		t.Error("merge of zero artifacts accepted")
 	}
 	// A malformed leading shard must error like any other, not panic in
 	// the coverage-slice allocation.
-	if _, err := Merge([]*ShardResult{{Shard: Shard{Index: 0, Count: -2}}}); err == nil || !strings.Contains(err.Error(), "count") {
+	if _, err := mergeReduce([]*ShardResult{{Shard: Shard{Index: 0, Count: -2}}}); err == nil || !strings.Contains(err.Error(), "count") {
 		t.Errorf("negative shard count: err = %v, want a count error", err)
 	}
-	if _, err := Merge(shards[:2]); err == nil || !strings.Contains(err.Error(), "missing") {
+	if _, err := mergeReduce(shards[:2]); err == nil || !strings.Contains(err.Error(), "missing") {
 		t.Errorf("merge of 2 of 3 shards: err = %v, want a missing-shard error", err)
 	}
 	dup := append(append([]*ShardResult(nil), shards...), shards[1])
-	if _, err := Merge(dup); err == nil || !strings.Contains(err.Error(), "twice") {
+	if _, err := mergeReduce(dup); err == nil || !strings.Contains(err.Error(), "twice") {
 		t.Errorf("duplicate shard: err = %v, want a duplicate error", err)
 	}
 
 	badSeed := cloneShard(t, shards[0])
 	badSeed.Seed++
-	if _, err := Merge([]*ShardResult{badSeed, shards[1], shards[2]}); err == nil || !strings.Contains(err.Error(), "seed") {
+	if _, err := mergeReduce([]*ShardResult{badSeed, shards[1], shards[2]}); err == nil || !strings.Contains(err.Error(), "seed") {
 		t.Errorf("seed mismatch: err = %v, want a seed error", err)
 	}
 
 	twoWay := runShardSet(t, r, 5, sw, 2)
-	if _, err := Merge([]*ShardResult{shards[0], twoWay[1]}); err == nil || !strings.Contains(err.Error(), "count") {
+	if _, err := mergeReduce([]*ShardResult{shards[0], twoWay[1]}); err == nil || !strings.Contains(err.Error(), "count") {
 		t.Errorf("mixed shard counts: err = %v, want a count error", err)
 	}
 
 	overlap := cloneShard(t, shards[0])
 	overlap.Figures[0].Jobs = append(overlap.Figures[0].Jobs, shards[1].Figures[0].Jobs[0])
-	if _, err := Merge([]*ShardResult{overlap, shards[1], shards[2]}); err == nil || !strings.Contains(err.Error(), "owned by shard") {
+	if _, err := mergeReduce([]*ShardResult{overlap, shards[1], shards[2]}); err == nil || !strings.Contains(err.Error(), "owned by shard") {
 		t.Errorf("overlapping jobs: err = %v, want an ownership error", err)
 	}
 
 	lacking := cloneShard(t, shards[2])
 	lacking.Figures = nil
-	if _, err := Merge([]*ShardResult{shards[0], shards[1], lacking}); err == nil || !strings.Contains(err.Error(), "lacks") {
+	if _, err := mergeReduce([]*ShardResult{shards[0], shards[1], lacking}); err == nil || !strings.Contains(err.Error(), "lacks") {
 		t.Errorf("shard without the figure: err = %v, want a lacks-figure error", err)
 	}
 }

@@ -72,32 +72,6 @@ func TestDist2ConsistentWithDist(t *testing.T) {
 	}
 }
 
-func TestTravelTime(t *testing.T) {
-	p, q := Point{0, 0}, Point{10, 0}
-	if got := TravelTime(p, q, 5); !almostEqual(got, 2, 1e-12) {
-		t.Errorf("TravelTime 10km at 5km/h = %v, want 2", got)
-	}
-	if got := TravelTime(p, q, 0); !math.IsInf(got, 1) {
-		t.Errorf("TravelTime at speed 0 = %v, want +Inf", got)
-	}
-	if got := TravelTime(p, q, -3); !math.IsInf(got, 1) {
-		t.Errorf("TravelTime at negative speed = %v, want +Inf", got)
-	}
-}
-
-func TestLerp(t *testing.T) {
-	p, q := Point{0, 0}, Point{10, 20}
-	if got := Lerp(p, q, 0); got != p {
-		t.Errorf("Lerp t=0 = %v, want %v", got, p)
-	}
-	if got := Lerp(p, q, 1); got != q {
-		t.Errorf("Lerp t=1 = %v, want %v", got, q)
-	}
-	if got := Lerp(p, q, 0.5); got != (Point{5, 10}) {
-		t.Errorf("Lerp t=0.5 = %v, want (5,10)", got)
-	}
-}
-
 func TestVectorOps(t *testing.T) {
 	a, b := Point{1, 2}, Point{3, -4}
 	if got := a.Add(b); got != (Point{4, -2}) {
@@ -106,24 +80,12 @@ func TestVectorOps(t *testing.T) {
 	if got := a.Sub(b); got != (Point{-2, 6}) {
 		t.Errorf("Sub = %v", got)
 	}
-	if got := b.Scale(0.5); got != (Point{1.5, -2}) {
-		t.Errorf("Scale = %v", got)
-	}
-	if got := (Point{3, 4}).Norm(); !almostEqual(got, 5, 1e-12) {
-		t.Errorf("Norm = %v, want 5", got)
-	}
 }
 
 func TestRectBasics(t *testing.T) {
-	r := NewRect(Point{5, 1}, Point{1, 7})
-	if r.Min != (Point{1, 1}) || r.Max != (Point{5, 7}) {
-		t.Fatalf("NewRect normalized wrong: %+v", r)
-	}
+	r := Rect{Min: Point{1, 1}, Max: Point{5, 7}}
 	if r.Width() != 4 || r.Height() != 6 {
 		t.Errorf("Width/Height = %v/%v, want 4/6", r.Width(), r.Height())
-	}
-	if r.Center() != (Point{3, 4}) {
-		t.Errorf("Center = %v, want (3,4)", r.Center())
 	}
 	for _, tc := range []struct {
 		p    Point
@@ -154,26 +116,6 @@ func TestRectExtendAndBoundOf(t *testing.T) {
 	}
 	if got := BoundOf(nil); got != (Rect{}) {
 		t.Errorf("BoundOf(nil) = %+v, want zero Rect", got)
-	}
-}
-
-func TestRectDistToPoint(t *testing.T) {
-	r := NewRect(Point{0, 0}, Point{10, 10})
-	tests := []struct {
-		p    Point
-		want float64
-	}{
-		{Point{5, 5}, 0},   // inside
-		{Point{0, 0}, 0},   // corner
-		{Point{15, 5}, 5},  // right of
-		{Point{5, -3}, 3},  // below
-		{Point{13, 14}, 5}, // diagonal (3,4,5)
-		{Point{-3, -4}, 5}, // diagonal other corner
-	}
-	for _, tc := range tests {
-		if got := r.DistToPoint(tc.p); !almostEqual(got, tc.want, 1e-12) {
-			t.Errorf("DistToPoint(%v) = %v, want %v", tc.p, got, tc.want)
-		}
 	}
 }
 
@@ -246,37 +188,6 @@ func TestGridAllIdenticalPoints(t *testing.T) {
 	g := BuildGrid(pts, 8)
 	if got := g.Within(Point{3, 3}, 0.5, nil); len(got) != 50 {
 		t.Errorf("identical points: got %d, want 50", len(got))
-	}
-	idx, d := g.Nearest(Point{4, 3})
-	if idx < 0 || !almostEqual(d, 1, 1e-12) {
-		t.Errorf("Nearest on identical points = (%d, %v)", idx, d)
-	}
-}
-
-func TestGridNearestMatchesBruteForce(t *testing.T) {
-	pts := randomPoints(500, 100, 3)
-	g := BuildGrid(pts, 8)
-	rng := randx.New(17)
-	for trial := 0; trial < 50; trial++ {
-		q := Point{rng.Float64()*140 - 20, rng.Float64()*140 - 20}
-		gotIdx, gotD := g.Nearest(q)
-		wantIdx, wantD := -1, math.Inf(1)
-		for i, p := range pts {
-			if d := Dist(p, q); d < wantD {
-				wantIdx, wantD = i, d
-			}
-		}
-		if !almostEqual(gotD, wantD, 1e-9) {
-			t.Fatalf("Nearest(%v) dist = %v (idx %d), want %v (idx %d)", q, gotD, gotIdx, wantD, wantIdx)
-		}
-	}
-}
-
-func TestGridNearestEmpty(t *testing.T) {
-	g := BuildGrid(nil, 8)
-	idx, d := g.Nearest(Point{0, 0})
-	if idx != -1 || !math.IsInf(d, 1) {
-		t.Errorf("Nearest on empty grid = (%d, %v), want (-1, +Inf)", idx, d)
 	}
 }
 

@@ -73,6 +73,22 @@ func (c Components) String() string {
 	}
 }
 
+// ParseComponents parses a mask name as String prints it (IA, IA-WP,
+// IA-AP, IA-AW) or by its short alias (all, WP, AP, AW).
+func ParseComponents(s string) (Components, error) {
+	switch s {
+	case "IA", "all", "ALL":
+		return All, nil
+	case "IA-WP", "WP":
+		return WP, nil
+	case "IA-AP", "AP":
+		return AP, nil
+	case "IA-AW", "AW":
+		return AW, nil
+	}
+	return 0, fmt.Errorf("influence: unknown mask %q (want IA, IA-WP, IA-AP or IA-AW)", s)
+}
+
 // Engine owns the trained models and produces per-instance evaluators.
 type Engine struct {
 	// Prop is the RRR collection over the full social graph.

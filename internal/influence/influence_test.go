@@ -133,6 +133,33 @@ func TestComponentsString(t *testing.T) {
 	}
 }
 
+// TestParseComponents: every mask the paper names parses back from its
+// String form, the short aliases parse, and anything else is an error.
+func TestParseComponents(t *testing.T) {
+	for _, c := range []Components{All, WP, AP, AW} {
+		got, err := ParseComponents(c.String())
+		if err != nil || got != c {
+			t.Errorf("ParseComponents(%q) = %v, %v; want %v", c.String(), got, err, c)
+		}
+	}
+	aliases := []struct {
+		s    string
+		want Components
+	}{
+		{"all", All}, {"ALL", All}, {"WP", WP}, {"AP", AP}, {"AW", AW},
+	}
+	for _, a := range aliases {
+		if got, err := ParseComponents(a.s); err != nil || got != a.want {
+			t.Errorf("ParseComponents(%q) = %v, %v; want %v", a.s, got, err, a.want)
+		}
+	}
+	for _, bad := range []string{"", "none", "A", "IA-XY", "ia"} {
+		if got, err := ParseComponents(bad); err == nil {
+			t.Errorf("ParseComponents(%q) = %v, want an error", bad, got)
+		}
+	}
+}
+
 func TestInfluenceNonNegativeAllMasks(t *testing.T) {
 	eng, inst := testWorld(t)
 	for _, mask := range []Components{All, WP, AP, AW} {

@@ -134,16 +134,6 @@ func (r *Rand) NormFloat64() float64 {
 	}
 }
 
-// ExpFloat64 returns an exponential draw with rate 1.
-func (r *Rand) ExpFloat64() float64 {
-	for {
-		u := r.Float64()
-		if u > 0 {
-			return -math.Log(u)
-		}
-	}
-}
-
 // Pareto returns a draw from the Pareto distribution with scale xm > 0 and
 // shape alpha > 0; the density is alpha*xm^alpha / x^(alpha+1) for x >= xm.
 // The paper models worker displacement lengths with exactly this law.
@@ -207,15 +197,6 @@ func (r *Rand) Perm(n int) []int {
 		p[i], p[j] = p[j], p[i]
 	}
 	return p
-}
-
-// Shuffle randomly permutes the first n elements using the provided swap
-// function, mirroring the math/rand API shape.
-func (r *Rand) Shuffle(n int, swap func(i, j int)) {
-	for i := n - 1; i > 0; i-- {
-		j := r.Intn(i + 1)
-		swap(i, j)
-	}
 }
 
 // WeightedChoice returns an index drawn proportionally to weights. All

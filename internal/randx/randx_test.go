@@ -131,22 +131,6 @@ func TestNormFloat64Moments(t *testing.T) {
 	}
 }
 
-func TestExpFloat64Mean(t *testing.T) {
-	r := New(15)
-	const n = 200000
-	sum := 0.0
-	for i := 0; i < n; i++ {
-		v := r.ExpFloat64()
-		if v < 0 {
-			t.Fatalf("exponential draw negative: %v", v)
-		}
-		sum += v
-	}
-	if mean := sum / n; math.Abs(mean-1) > 0.02 {
-		t.Errorf("exponential mean = %v, want ~1", mean)
-	}
-}
-
 func TestParetoProperties(t *testing.T) {
 	r := New(17)
 	const n = 100000
@@ -279,22 +263,6 @@ func TestSplitIndependence(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		if c.Uint64() != d.Uint64() {
 			t.Fatal("identical splits diverged")
-		}
-	}
-}
-
-func TestShuffle(t *testing.T) {
-	r := New(37)
-	xs := []int{0, 1, 2, 3, 4, 5, 6, 7}
-	orig := append([]int(nil), xs...)
-	r.Shuffle(len(xs), func(i, j int) { xs[i], xs[j] = xs[j], xs[i] })
-	seen := make([]bool, len(xs))
-	for _, v := range xs {
-		seen[v] = true
-	}
-	for v, ok := range seen {
-		if !ok {
-			t.Fatalf("value %d lost in shuffle: %v (orig %v)", v, xs, orig)
 		}
 	}
 }

@@ -5,14 +5,15 @@
 // expires (s.p + s.ϕ).
 //
 // The instant loop itself lives in internal/engine; this package is its
-// deterministic replay driver. Platform.Run translates time-ordered
+// deterministic replay driver. Config.Schedule translates time-ordered
 // arrival streams into engine events — admissions up to each grid
-// instant, then the instant itself — against an integer instant grid, so
-// a whole simulated horizon replays through exactly the machinery
-// cmd/dita-serve runs live. Replay is the batch form and serving the
-// streaming form of the same engine: fed the same event sequence they
-// produce bit-identical results, which is what the serve CI smoke leg
-// diffs byte for byte.
+// instant, then the instant itself — against an integer instant grid,
+// and Platform.Run applies them, so a whole simulated horizon replays
+// through exactly the machinery cmd/dita-serve runs live. Replay is the
+// batch form and serving the streaming form of the same engine: fed the
+// same event sequence (dita-sim -stream -serve posts this schedule to a
+// live server) they produce bit-identical results, which is what the
+// serve CI smoke leg diffs byte for byte.
 //
 // Entities keep platform-stable identities for their whole lifetime
 // (assigned by the engine at admission, in arrival order), so the
@@ -24,6 +25,7 @@ package simulate
 
 import (
 	"fmt"
+	"iter"
 	"math"
 	"time"
 
@@ -92,11 +94,8 @@ type Platform struct {
 
 // New returns an empty platform bound to a trained framework.
 func New(fw *core.Framework, cfg Config) (*Platform, error) {
-	if cfg.Step <= 0 {
-		return nil, fmt.Errorf("simulate: non-positive step %v", cfg.Step)
-	}
-	if cfg.Horizon < 0 {
-		return nil, fmt.Errorf("simulate: negative horizon %v", cfg.Horizon)
+	if err := cfg.checkGrid(); err != nil {
+		return nil, err
 	}
 	eng, err := engine.New(fw, engine.Config{
 		Algorithm:       cfg.Algorithm,
@@ -120,38 +119,81 @@ func monotonicClock() engine.Clock {
 	return func() time.Duration { return time.Since(start) } //dita:wallclock
 }
 
-// Run replays the arrival streams (each ordered by time) through the
-// engine and returns the aggregated result. Instants are indexed by
-// integer: instant i happens at Start + i*Step, so long horizons do not
-// accumulate floating-point drift, and the instant count is fixed up
-// front as ⌊Horizon/Step⌋ (with an epsilon absorbing binary rounding):
-// a Horizon that is an exact decimal multiple of Step — 2.4 over steps
-// of 0.1, say — includes its final instant even though the accumulated
-// product overshoots the horizon by an ulp.
+// checkGrid rejects an instant grid that would never advance or end.
+func (c Config) checkGrid() error {
+	if c.Step <= 0 {
+		return fmt.Errorf("simulate: non-positive step %v", c.Step)
+	}
+	if c.Horizon < 0 {
+		return fmt.Errorf("simulate: negative horizon %v", c.Horizon)
+	}
+	return nil
+}
+
+// Schedule is the replay's admission order on the config's instant
+// grid, as engine events: for each instant now, every worker with
+// At <= now (WorkerArrive), then every task with Publish <= now
+// (TaskArrive), each stream in its given order, then the instant itself
+// (InstantFire at now). Arrival events carry the instant time in At.
+// The arrival streams must each be ordered by time.
 //
-// Per the streaming protocol, arrivals with At/Publish <= now are
-// admitted before instant now fires (identities assigned at admission,
-// in arrival order: workers then tasks), and the instant's expiry sweep
-// runs inside the engine before the snapshot.
+// Instants are indexed by integer: instant i happens at Start + i*Step,
+// so long horizons do not accumulate floating-point drift, and the
+// instant count is fixed up front as ⌊Horizon/Step⌋ (with an epsilon
+// absorbing binary rounding): a Horizon that is an exact decimal
+// multiple of Step — 2.4 over steps of 0.1, say — includes its final
+// instant even though the accumulated product overshoots the horizon by
+// an ulp.
+//
+// Platform.Run applies this sequence in-process and dita-sim -serve
+// posts it to a live dita-serve; sharing it is what makes the platform
+// ids each side mints, and therefore their assignment CSVs, line up.
+func (c Config) Schedule(workers []ArrivingWorker, tasks []ArrivingTask) (iter.Seq[engine.Event], error) {
+	if err := c.checkGrid(); err != nil {
+		return nil, err
+	}
+	return func(yield func(engine.Event) bool) {
+		wi, ti := 0, 0
+		count := int(math.Floor(c.Horizon/c.Step + 1e-9))
+		for i := 0; i <= count; i++ {
+			now := c.Start + float64(i)*c.Step
+			for ; wi < len(workers) && workers[wi].At <= now; wi++ {
+				if !yield(engine.Event{Kind: engine.WorkerArrive, At: now, Worker: workers[wi]}) {
+					return
+				}
+			}
+			for ; ti < len(tasks) && tasks[ti].Publish <= now; ti++ {
+				if !yield(engine.Event{Kind: engine.TaskArrive, At: now, Task: tasks[ti]}) {
+					return
+				}
+			}
+			if !yield(engine.Event{Kind: engine.InstantFire, At: now}) {
+				return
+			}
+		}
+	}, nil
+}
+
+// Run replays the arrival streams (each ordered by time) through the
+// engine in Schedule order and returns the aggregated result. Per the
+// streaming protocol, arrivals due by an instant are admitted before it
+// fires (identities assigned at admission, in arrival order: workers
+// then tasks), and the instant's expiry sweep runs inside the engine
+// before the snapshot.
 func (p *Platform) Run(workers []ArrivingWorker, tasks []ArrivingTask) (*Result, error) {
+	sched, err := p.cfg.Schedule(workers, tasks)
+	if err != nil {
+		return nil, err
+	}
 	res := &Result{}
-	wi, ti := 0, 0
-	count := int(math.Floor(p.cfg.Horizon/p.cfg.Step + 1e-9))
-	for i := 0; i <= count; i++ {
-		now := p.cfg.Start + float64(i)*p.cfg.Step
-		for wi < len(workers) && workers[wi].At <= now {
-			if _, err := p.eng.Apply(engine.Event{Kind: engine.WorkerArrive, At: now, Worker: workers[wi]}); err != nil {
-				return nil, err
-			}
-			wi++
+	for ev := range sched {
+		if ev.Kind == engine.InstantFire {
+			res.Instants = append(res.Instants, p.eng.Fire(ev.At))
+			continue
 		}
-		for ti < len(tasks) && tasks[ti].Publish <= now {
-			if _, err := p.eng.Apply(engine.Event{Kind: engine.TaskArrive, At: now, Task: tasks[ti]}); err != nil {
-				return nil, err
-			}
-			ti++
+		if _, err := p.eng.Apply(ev); err != nil {
+			return nil, err
 		}
-		res.Instants = append(res.Instants, p.eng.Fire(now))
 	}
 	t := p.eng.Totals()
 	res.TotalAssigned = t.Assigned

@@ -3,7 +3,6 @@ package socialgraph
 import (
 	"math"
 	"testing"
-	"testing/quick"
 
 	"dita/internal/randx"
 )
@@ -78,61 +77,48 @@ func TestInformProb(t *testing.T) {
 	}
 }
 
-func TestReverse(t *testing.T) {
-	g := MustNew(4, []Edge{{0, 1}, {1, 2}, {0, 3}})
-	r := g.Reverse()
-	if r.M() != g.M() {
-		t.Fatalf("reverse changed edge count: %d vs %d", r.M(), g.M())
+// weaklyConnectedComponents labels every node with a component id
+// (0-based, by discovery order) ignoring edge directions, and returns the
+// label slice plus the component count: the connectivity oracle of the
+// generator tests.
+func weaklyConnectedComponents(g *Graph) ([]int32, int) {
+	comp := make([]int32, g.N())
+	for i := range comp {
+		comp[i] = -1
 	}
-	for _, e := range g.Edges() {
-		if !r.HasEdge(e.To, e.From) {
-			t.Errorf("reverse missing edge (%d,%d)", e.To, e.From)
+	next := int32(0)
+	var queue []int32
+	for s := int32(0); s < int32(g.N()); s++ {
+		if comp[s] >= 0 {
+			continue
 		}
-	}
-	// In/out adjacency swap.
-	for u := int32(0); u < int32(g.N()); u++ {
-		if g.OutDegree(u) != r.InDegree(u) || g.InDegree(u) != r.OutDegree(u) {
-			t.Errorf("degree mismatch at %d after reverse", u)
-		}
-	}
-}
-
-func TestReversePropertyRandomGraphs(t *testing.T) {
-	f := func(seed uint64) bool {
-		rng := randx.New(seed)
-		g := GenerateErdosRenyi(20, 0.15, rng)
-		rr := g.Reverse().Reverse()
-		if rr.M() != g.M() {
-			return false
-		}
-		for _, e := range g.Edges() {
-			if !rr.HasEdge(e.From, e.To) {
-				return false
+		comp[s] = next
+		queue = append(queue[:0], s)
+		for len(queue) > 0 {
+			u := queue[0]
+			queue = queue[1:]
+			for _, v := range g.Out(u) {
+				if comp[v] < 0 {
+					comp[v] = next
+					queue = append(queue, v)
+				}
+			}
+			for _, v := range g.In(u) {
+				if comp[v] < 0 {
+					comp[v] = next
+					queue = append(queue, v)
+				}
 			}
 		}
-		return true
+		next++
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 20}); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestBFS(t *testing.T) {
-	// 0→1→2→3, 4 unreachable.
-	g := MustNew(5, []Edge{{0, 1}, {1, 2}, {2, 3}})
-	dist := g.BFS(0)
-	want := []int32{0, 1, 2, 3, -1}
-	for i, w := range want {
-		if dist[i] != w {
-			t.Errorf("dist[%d] = %d, want %d", i, dist[i], w)
-		}
-	}
+	return comp, int(next)
 }
 
 func TestWeaklyConnectedComponents(t *testing.T) {
 	// Two components: {0,1,2} (via directed edges either way) and {3,4}.
 	g := MustNew(5, []Edge{{0, 1}, {2, 1}, {4, 3}})
-	comp, n := g.WeaklyConnectedComponents()
+	comp, n := weaklyConnectedComponents(g)
 	if n != 2 {
 		t.Fatalf("component count = %d, want 2", n)
 	}
@@ -158,7 +144,7 @@ func TestPreferentialAttachmentShape(t *testing.T) {
 		}
 	}
 	// Connected (PA attaches every newcomer to the existing component).
-	_, comps := g.WeaklyConnectedComponents()
+	_, comps := weaklyConnectedComponents(g)
 	if comps != 1 {
 		t.Errorf("PA graph has %d components, want 1", comps)
 	}
@@ -189,29 +175,6 @@ func TestPreferentialAttachmentDeterministic(t *testing.T) {
 	}
 }
 
-func TestErdosRenyiDensity(t *testing.T) {
-	rng := randx.New(3)
-	const n = 100
-	p := 0.1
-	g := GenerateErdosRenyi(n, p, rng)
-	want := p * float64(n) * float64(n-1)
-	got := float64(g.M())
-	if math.Abs(got-want)/want > 0.15 {
-		t.Errorf("ER edge count %v, want ~%v", got, want)
-	}
-}
-
-func TestDegreeHistogramSumsToN(t *testing.T) {
-	g := GeneratePreferentialAttachment(300, 2, randx.New(9))
-	total := 0
-	for _, c := range g.DegreeHistogram() {
-		total += c
-	}
-	if total != g.N() {
-		t.Errorf("histogram total %d, want %d", total, g.N())
-	}
-}
-
 func TestInformProbSumsToOneOverInNeighbors(t *testing.T) {
 	// For every node v with in-degree > 0, Σ_u InformProb(u, v) over its
 	// in-neighbors is exactly 1 — the paper's 1/id_e normalization.
@@ -236,7 +199,7 @@ func TestEmptyGraph(t *testing.T) {
 	if g.N() != 0 || g.M() != 0 {
 		t.Errorf("empty graph N=%d M=%d", g.N(), g.M())
 	}
-	comp, n := g.WeaklyConnectedComponents()
+	comp, n := weaklyConnectedComponents(g)
 	if len(comp) != 0 || n != 0 {
 		t.Errorf("empty graph components = %v, %d", comp, n)
 	}
