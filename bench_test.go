@@ -1,18 +1,20 @@
 // Benchmarks regenerating every figure of the paper's evaluation
-// (Section V). One benchmark per figure: Fig. 5–8 are the influence-
-// modeling ablations (IA vs IA-WP/IA-AP/IA-AW), Fig. 9–16 the
+// (Section V). BenchmarkFigures has one sub-benchmark per figure and
+// dataset it is evaluated on: Fig. 5–8 are the influence-modeling
+// ablations (IA vs IA-WP/IA-AP/IA-AW) on both datasets, Fig. 9–16 the
 // algorithm comparisons (MTA, IA, EIA, DIA, MI) under the four parameter
-// sweeps on the BK- and FS-like datasets.
+// sweeps, odd figures on the BK-like and even on the FS-like dataset.
 //
 // Benchmarks run at "bench scale" (a ~4× reduced world) so the whole
 // suite finishes in minutes; run `go run ./cmd/dita-bench` for the
 // full Table II scale. Use -v to see each figure's series: every
-// benchmark logs the same rows the corresponding figure plots, and
+// sub-benchmark logs the same rows the corresponding figure plots, and
 // reports the headline metric via b.ReportMetric.
 package dita_test
 
 import (
 	"bytes"
+	"fmt"
 	"sync"
 	"testing"
 
@@ -21,12 +23,14 @@ import (
 	"dita/internal/experiments"
 )
 
-// Bench-scale sweeps: same five-point structure as the paper, reduced
-// sizes.
-var (
-	benchTaskSweep   = []int{100, 200, 300, 400, 500}
-	benchWorkerSweep = []int{80, 160, 240, 320, 400}
-)
+// benchSweeps are the bench-scale sweeps: the same five-point structure
+// as the paper, reduced instance sizes, the paper's ϕ and r axes.
+var benchSweeps = experiments.Sweeps{
+	Tasks:   []int{100, 200, 300, 400, 500},
+	Workers: []int{80, 160, 240, 320, 400},
+	Valid:   experiments.ValidTimeSweep,
+	Radius:  experiments.RadiusSweep,
+}
 
 func benchParams() experiments.Params {
 	return experiments.Params{
@@ -87,18 +91,40 @@ func getRunner(b *testing.B, name string) *experiments.Runner {
 	return runners[name]
 }
 
-// logResult writes the figure's series into the benchmark log (visible
-// with -v) — the same rows the paper's figure plots.
-func logResult(b *testing.B, res *experiments.Result, metrics []experiments.Metric) {
-	b.Helper()
-	var buf bytes.Buffer
-	res.FormatAll(&buf, metrics)
-	b.Log("\n" + buf.String())
+// BenchmarkFigures regenerates each figure on each dataset it is
+// evaluated on, logs the series the figure plots (its FigureMetrics),
+// and reports the headline values of the first series at the largest
+// sweep point.
+func BenchmarkFigures(b *testing.B) {
+	for fig := 5; fig <= 16; fig++ {
+		for _, ds := range []string{"BK", "FS"} {
+			if !experiments.FigureOnDataset(fig, ds) {
+				continue
+			}
+			b.Run(fmt.Sprintf("Fig%02d_%s", fig, ds), func(b *testing.B) {
+				r := getRunner(b, ds)
+				b.ResetTimer()
+				var res *experiments.Result
+				var err error
+				for i := 0; i < b.N; i++ {
+					res, err = r.RunFigure(fig, benchSweeps)
+					if err != nil {
+						b.Fatal(err)
+					}
+				}
+				b.StopTimer()
+				var buf bytes.Buffer
+				res.FormatAll(&buf, experiments.FigureMetrics(fig))
+				b.Log("\n" + buf.String())
+				reportHeadline(b, res)
+			})
+		}
+	}
 }
 
-// reportAI attaches the headline AI value (first algorithm at the
-// largest sweep point) as a custom benchmark metric.
-func reportAI(b *testing.B, res *experiments.Result) {
+// reportHeadline attaches the headline AI and assigned values (first
+// series at the largest sweep point) as custom benchmark metrics.
+func reportHeadline(b *testing.B, res *experiments.Result) {
 	xs := res.Xs()
 	if len(xs) == 0 {
 		return
@@ -115,151 +141,6 @@ func reportAI(b *testing.B, res *experiments.Result) {
 	}
 }
 
-func runAblationBench(b *testing.B, ds string, run func(*experiments.Runner) (*experiments.Result, error)) {
-	r := getRunner(b, ds)
-	b.ResetTimer()
-	var res *experiments.Result
-	var err error
-	for i := 0; i < b.N; i++ {
-		res, err = run(r)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.StopTimer()
-	logResult(b, res, []experiments.Metric{experiments.MetricAI})
-	reportAI(b, res)
-}
-
-func runComparisonBench(b *testing.B, ds string, run func(*experiments.Runner) (*experiments.Result, error)) {
-	r := getRunner(b, ds)
-	b.ResetTimer()
-	var res *experiments.Result
-	var err error
-	for i := 0; i < b.N; i++ {
-		res, err = run(r)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.StopTimer()
-	logResult(b, res, experiments.AllMetrics)
-	reportAI(b, res)
-}
-
-// Fig. 5 — effect of |S| on AI for IA, IA-WP, IA-AP, IA-AW (panels: BK, FS).
-
-func BenchmarkFig05_AblationTasks_BK(b *testing.B) {
-	runAblationBench(b, "BK", func(r *experiments.Runner) (*experiments.Result, error) {
-		return r.AblationTasks(benchTaskSweep)
-	})
-}
-
-func BenchmarkFig05_AblationTasks_FS(b *testing.B) {
-	runAblationBench(b, "FS", func(r *experiments.Runner) (*experiments.Result, error) {
-		return r.AblationTasks(benchTaskSweep)
-	})
-}
-
-// Fig. 6 — effect of |W| on AI for the IA variants.
-
-func BenchmarkFig06_AblationWorkers_BK(b *testing.B) {
-	runAblationBench(b, "BK", func(r *experiments.Runner) (*experiments.Result, error) {
-		return r.AblationWorkers(benchWorkerSweep)
-	})
-}
-
-func BenchmarkFig06_AblationWorkers_FS(b *testing.B) {
-	runAblationBench(b, "FS", func(r *experiments.Runner) (*experiments.Result, error) {
-		return r.AblationWorkers(benchWorkerSweep)
-	})
-}
-
-// Fig. 7 — effect of ϕ on AI for the IA variants.
-
-func BenchmarkFig07_AblationValidTime_BK(b *testing.B) {
-	runAblationBench(b, "BK", func(r *experiments.Runner) (*experiments.Result, error) {
-		return r.AblationValidTime(experiments.ValidTimeSweep)
-	})
-}
-
-func BenchmarkFig07_AblationValidTime_FS(b *testing.B) {
-	runAblationBench(b, "FS", func(r *experiments.Runner) (*experiments.Result, error) {
-		return r.AblationValidTime(experiments.ValidTimeSweep)
-	})
-}
-
-// Fig. 8 — effect of r on AI for the IA variants.
-
-func BenchmarkFig08_AblationRadius_BK(b *testing.B) {
-	runAblationBench(b, "BK", func(r *experiments.Runner) (*experiments.Result, error) {
-		return r.AblationRadius(experiments.RadiusSweep)
-	})
-}
-
-func BenchmarkFig08_AblationRadius_FS(b *testing.B) {
-	runAblationBench(b, "FS", func(r *experiments.Runner) (*experiments.Result, error) {
-		return r.AblationRadius(experiments.RadiusSweep)
-	})
-}
-
-// Fig. 9 / Fig. 10 — effect of |S| on all five metrics for the five
-// algorithms, on BK and FS respectively.
-
-func BenchmarkFig09_TasksBK(b *testing.B) {
-	runComparisonBench(b, "BK", func(r *experiments.Runner) (*experiments.Result, error) {
-		return r.CompareTasks(benchTaskSweep)
-	})
-}
-
-func BenchmarkFig10_TasksFS(b *testing.B) {
-	runComparisonBench(b, "FS", func(r *experiments.Runner) (*experiments.Result, error) {
-		return r.CompareTasks(benchTaskSweep)
-	})
-}
-
-// Fig. 11 / Fig. 12 — effect of |W|.
-
-func BenchmarkFig11_WorkersBK(b *testing.B) {
-	runComparisonBench(b, "BK", func(r *experiments.Runner) (*experiments.Result, error) {
-		return r.CompareWorkers(benchWorkerSweep)
-	})
-}
-
-func BenchmarkFig12_WorkersFS(b *testing.B) {
-	runComparisonBench(b, "FS", func(r *experiments.Runner) (*experiments.Result, error) {
-		return r.CompareWorkers(benchWorkerSweep)
-	})
-}
-
-// Fig. 13 / Fig. 14 — effect of ϕ.
-
-func BenchmarkFig13_ValidTimeBK(b *testing.B) {
-	runComparisonBench(b, "BK", func(r *experiments.Runner) (*experiments.Result, error) {
-		return r.CompareValidTime(experiments.ValidTimeSweep)
-	})
-}
-
-func BenchmarkFig14_ValidTimeFS(b *testing.B) {
-	runComparisonBench(b, "FS", func(r *experiments.Runner) (*experiments.Result, error) {
-		return r.CompareValidTime(experiments.ValidTimeSweep)
-	})
-}
-
-// Fig. 15 / Fig. 16 — effect of r.
-
-func BenchmarkFig15_RadiusBK(b *testing.B) {
-	runComparisonBench(b, "BK", func(r *experiments.Runner) (*experiments.Result, error) {
-		return r.CompareRadius(experiments.RadiusSweep)
-	})
-}
-
-func BenchmarkFig16_RadiusFS(b *testing.B) {
-	runComparisonBench(b, "FS", func(r *experiments.Runner) (*experiments.Result, error) {
-		return r.CompareRadius(experiments.RadiusSweep)
-	})
-}
-
 // BenchmarkSweepParallelism compares one full comparison sweep run
 // sequentially against the default all-cores fan-out; the rows are
 // identical, only wall clock differs.
@@ -273,7 +154,7 @@ func BenchmarkSweepParallelism(b *testing.B) {
 			r.P.Parallelism = bc.par
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := r.CompareTasks(benchTaskSweep); err != nil {
+				if _, err := r.RunFigure(9, benchSweeps); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -60,7 +60,7 @@ func main() {
 		par        = flag.Int("parallel", 0, "worker pool bound per instant (0 = all cores)")
 		sessionCap = flag.Int("session-cap", 0, "bound each region's influence cache to this many entries, FIFO eviction (0 = unbounded)")
 		trigName   = flag.String("trigger", "manual", "instant trigger: manual, tick or batch")
-		tick       = flag.Duration("tick", 2*time.Second, "wall-time instant period for -trigger tick (also the batch fallback when set)")
+		tick       = flag.Duration("tick", 2*time.Second, "wall-time instant period for -trigger tick")
 		batch      = flag.Int("batch", 64, "event-count threshold for -trigger batch")
 		simStart   = flag.Float64("sim-start", 0, "simulation time (hours) at process start, for tick-triggered instants")
 		timeScale  = flag.Float64("time-scale", 1, "simulation hours per wall hour for tick-triggered instants")

@@ -17,7 +17,6 @@ import (
 	"dita/internal/dataset"
 	"dita/internal/engine"
 	"dita/internal/lda"
-	"dita/internal/simulate"
 	"dita/internal/trace"
 	"dita/internal/wire"
 )
@@ -559,10 +558,11 @@ func TestServeDrainCompletesInFlightInstant(t *testing.T) {
 }
 
 // TestServeMatchesSimulateReplay is the in-process form of the CI serve
-// smoke: the same trace replayed once through simulate.Platform and once
-// through the HTTP endpoints — the same schedule (grid admissions +
-// explicit instants) in its wire form — must drain a byte-identical
-// assignment CSV.
+// smoke: the same trace replayed once in-process (engine.Grid.Schedule
+// through Engine.Replay, as dita-sim -stream does) and once through the
+// HTTP endpoints — the same schedule (grid admissions + explicit
+// instants) in its wire form — must drain a byte-identical assignment
+// CSV.
 func TestServeMatchesSimulateReplay(t *testing.T) {
 	fw, data := testFramework(t)
 	tp := trace.Params{Arrivals: 60, Seed: 13, Start: 96, Spread: 12, RadiusKm: 25, ValidMin: 3, ValidSpan: 3}
@@ -570,30 +570,29 @@ func TestServeMatchesSimulateReplay(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := simulate.Config{Algorithm: assign.IA, Step: 1, Start: 96, Horizon: 14, Seed: 7}
-
-	p, err := simulate.New(fw, cfg)
+	grid := engine.Grid{Start: 96, Step: 1, Horizon: 14}
+	e, err := engine.New(fw, engine.Config{Algorithm: assign.IA, Seed: 7})
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := p.Run(ws, tks)
+	sched, err := grid.Schedule(ws, tks)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.TotalAssigned == 0 {
+	instants, err := e.Replay(sched)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if e.Totals().Assigned == 0 {
 		t.Fatal("replay assigned nothing; trace too sparse to gate anything")
 	}
-	want := engine.AssignCSV(res.Instants)
+	want := engine.AssignCSV(instants)
 
 	csvPath := filepath.Join(t.TempDir(), "serve.csv")
 	srv, ts := testServer(t, fw, serverConfig{
 		engine:  engine.Config{Trigger: engine.ManualTrigger{}},
 		csvPath: csvPath,
 	})
-	sched, err := cfg.Schedule(ws, tks)
-	if err != nil {
-		t.Fatal(err)
-	}
 	for ev := range sched {
 		path, body, err := wire.Post(ev)
 		if err != nil {
@@ -611,6 +610,6 @@ func TestServeMatchesSimulateReplay(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(want, got) {
-		t.Fatal("served assignment CSV diverged from the simulate replay")
+		t.Fatal("served assignment CSV diverged from the in-process replay")
 	}
 }

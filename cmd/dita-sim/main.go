@@ -4,11 +4,11 @@
 // metrics. It is the manual-inspection tool of the repository.
 //
 // With -stream it instead replays a deterministic arrival trace
-// (internal/trace) on a fixed instant grid (simulate.Config.Schedule:
-// due workers, then due tasks, then the instant) through the streaming
-// engine and writes the streaming assignment CSV. With -stream -serve
-// <base URL> it posts the same schedule to a running dita-serve region
-// instead (the URL names the region, e.g.
+// (internal/trace) on a fixed instant grid (engine.Grid.Schedule: due
+// workers, then due tasks, then the instant) through the streaming
+// engine (Engine.Replay) and writes the streaming assignment CSV. With
+// -stream -serve <base URL> it posts the same schedule to a running
+// dita-serve region instead (the URL names the region, e.g.
 // http://127.0.0.1:8099/v1/default) and skips training: the server holds
 // the framework, the algorithm settings and the drained CSV. The CI
 // serve smoke diffs the two CSVs byte for byte.
@@ -42,7 +42,6 @@ import (
 	"dita/internal/fwio"
 	"dita/internal/influence"
 	"dita/internal/model"
-	"dita/internal/simulate"
 	"dita/internal/trace"
 )
 
@@ -122,10 +121,11 @@ func main() {
 			Arrivals: *arrivals, Seed: *traceSeed, Start: cutoff, Spread: *spread,
 			RadiusKm: *radius, ValidMin: *valid, ValidSpan: *validSpan,
 		},
-		sim: simulate.Config{
+		engine: engine.Config{
 			Algorithm: alg, Components: comps, Seed: *seed, Parallelism: *par,
-			Step: *step, Start: cutoff, Horizon: *horizon, SessionCapacity: *sessionCap,
+			SessionCapacity: *sessionCap,
 		},
+		grid:    engine.Grid{Start: cutoff, Step: *step, Horizon: *horizon},
 		csvPath: *csvPath,
 	}
 	if *serveURL != "" {
@@ -220,10 +220,11 @@ func main() {
 }
 
 // streamParams bundles everything the -stream replay needs: the trace
-// to build and the grid replay to run it on.
+// to build, the engine to replay it through and the instant grid.
 type streamParams struct {
 	trace   trace.Params
-	sim     simulate.Config
+	engine  engine.Config
+	grid    engine.Grid
 	csvPath string
 }
 
@@ -237,29 +238,33 @@ func runStream(fw *core.Framework, data *dataset.Data, p streamParams) {
 	if err != nil {
 		log.Fatalf("trace: %v", err)
 	}
-	plat, err := simulate.New(fw, p.sim)
+	e, err := engine.New(fw, p.engine)
+	if err != nil {
+		log.Fatal(err)
+	}
+	sched, err := p.grid.Schedule(ws, ts)
 	if err != nil {
 		log.Fatal(err)
 	}
 	wall := time.Now() //dita:wallclock
-	res, err := plat.Run(ws, ts)
+	instants, err := e.Replay(sched)
 	if err != nil {
 		log.Fatalf("stream: %v", err)
 	}
 	elapsed := time.Since(wall) //dita:wallclock
-	totals := plat.Engine().Totals()
+	totals := e.Totals()
 
 	fmt.Printf("\n%s streamed over [%g, %g]h in %g-h instants (%d arrivals each side):\n",
-		p.sim.Algorithm, p.sim.Start, p.sim.Start+p.sim.Horizon, p.sim.Step, p.trace.Arrivals)
+		p.engine.Algorithm, p.grid.Start, p.grid.Start+p.grid.Horizon, p.grid.Step, p.trace.Arrivals)
 	fmt.Printf("  instants             %d\n", totals.Instants)
 	fmt.Printf("  assigned tasks       %d\n", totals.Assigned)
 	fmt.Printf("  expired tasks        %d\n", totals.Expired)
-	fmt.Printf("  completion rate      %.4f\n", res.CompletionRate)
-	fmt.Printf("  still online/open    %d/%d\n", plat.Online(), plat.Open())
+	fmt.Printf("  completion rate      %.4f\n", totals.CompletionRate())
+	fmt.Printf("  still online/open    %d/%d\n", e.Online(), e.Open())
 	fmt.Printf("  replay wall time     %s\n", elapsed.Round(time.Millisecond))
 
 	if p.csvPath != "" {
-		csv := engine.AssignCSV(res.Instants)
+		csv := engine.AssignCSV(instants)
 		if err := atomicio.WriteFile(p.csvPath, csv, 0o644); err != nil {
 			log.Fatalf("assign-csv: %v", err)
 		}

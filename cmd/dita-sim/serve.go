@@ -26,7 +26,7 @@ func runServe(base string, data *dataset.Data, p streamParams) error {
 	if err != nil {
 		return fmt.Errorf("trace: %w", err)
 	}
-	sched, err := p.sim.Schedule(ws, ts)
+	sched, err := p.grid.Schedule(ws, ts)
 	if err != nil {
 		return err
 	}
@@ -52,7 +52,7 @@ func runServe(base string, data *dataset.Data, p streamParams) error {
 		return err
 	}
 	fmt.Printf("\nposted to %s over [%g, %g]h in %g-h instants (%d arrivals each side, %d requests):\n",
-		base, p.sim.Start, p.sim.Start+p.sim.Horizon, p.sim.Step, p.trace.Arrivals, posted)
+		base, p.grid.Start, p.grid.Start+p.grid.Horizon, p.grid.Step, p.trace.Arrivals, posted)
 	fmt.Printf("  instants             %d\n", m.Totals.Instants)
 	fmt.Printf("  assigned tasks       %d\n", m.Totals.Assigned)
 	fmt.Printf("  expired tasks        %d\n", m.Totals.Expired)

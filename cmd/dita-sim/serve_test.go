@@ -13,7 +13,6 @@ import (
 	"dita/internal/engine"
 	"dita/internal/geo"
 	"dita/internal/model"
-	"dita/internal/simulate"
 	"dita/internal/wire"
 )
 
@@ -49,7 +48,7 @@ func recorder(t *testing.T, reply func(n int) (int, string)) (*httptest.Server, 
 }
 
 // clientTrace is a small hand-made trace on the grid 10, 11, 12, 13.
-func clientTrace(t *testing.T) (simulate.Config, []engine.WorkerArrival, []engine.TaskArrival) {
+func clientTrace(t *testing.T) (engine.Grid, []engine.WorkerArrival, []engine.TaskArrival) {
 	t.Helper()
 	ws := []engine.WorkerArrival{
 		{User: 3, Loc: geo.Point{X: 1, Y: 2}, Radius: 25, At: 10},
@@ -60,16 +59,16 @@ func clientTrace(t *testing.T) (simulate.Config, []engine.WorkerArrival, []engin
 		{Loc: geo.Point{X: 1, Y: 1}, Publish: 10, Valid: 4, Categories: []model.CategoryID{2}, Venue: 7},
 		{Loc: geo.Point{X: 2, Y: 2}, Publish: 11.9, Valid: 3, Categories: []model.CategoryID{1, 4}, Venue: 9},
 	}
-	return simulate.Config{Start: 10, Step: 1, Horizon: 3}, ws, ts
+	return engine.Grid{Start: 10, Step: 1, Horizon: 3}, ws, ts
 }
 
 // TestPostScheduleFollowsSharedSchedule: the -serve client posts exactly
 // the shared grid schedule in its wire form — same paths, same order,
 // same bodies — under the region's base URL.
 func TestPostScheduleFollowsSharedSchedule(t *testing.T) {
-	cfg, ws, ts := clientTrace(t)
+	grid, ws, ts := clientTrace(t)
 	srv, seen := recorder(t, func(int) (int, string) { return http.StatusOK, `{}` })
-	sched, err := cfg.Schedule(ws, ts)
+	sched, err := grid.Schedule(ws, ts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,14 +107,14 @@ func TestPostScheduleFollowsSharedSchedule(t *testing.T) {
 // TestPostScheduleAbortsOnRejection: the first non-200 reply stops the
 // replay, and the error carries the status and the server's message.
 func TestPostScheduleAbortsOnRejection(t *testing.T) {
-	cfg, ws, ts := clientTrace(t)
+	grid, ws, ts := clientTrace(t)
 	srv, seen := recorder(t, func(n int) (int, string) {
 		if n == 2 {
 			return http.StatusBadRequest, `{"error":"engine: venue 7 outside [0, 5)"}`
 		}
 		return http.StatusOK, `{}`
 	})
-	sched, err := cfg.Schedule(ws, ts)
+	sched, err := grid.Schedule(ws, ts)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -33,9 +33,9 @@ import (
 	"dita/internal/assign"
 	"dita/internal/core"
 	"dita/internal/dataset"
+	"dita/internal/engine"
 	"dita/internal/influence"
 	"dita/internal/model"
-	"dita/internal/simulate"
 )
 
 // Domain types (see internal/model for full documentation).
@@ -176,23 +176,26 @@ func FeasiblePairs(inst *Instance, speedKmH float64) []assign.Pair {
 // a solve decomposed over (Framework.AssignPrepared's third result).
 type TileStats = assign.TileStats
 
-// Streaming simulation: a platform loop with carry-over state, where a
+// Streaming: the engine's instant loop with carry-over state, where a
 // worker stays online until assigned and a task remains available until
-// it expires.
+// it expires. Grid.Schedule orders arrival streams against a fixed
+// instant grid and Engine.Replay runs the schedule.
 type (
-	// Platform is the streaming simulator's carry-over state.
-	Platform = simulate.Platform
-	// SimConfig drives a streaming run.
-	SimConfig = simulate.Config
-	// SimResult aggregates a streaming run.
-	SimResult = simulate.Result
+	// Engine is the streaming engine's carry-over state.
+	Engine = engine.Engine
+	// EngineConfig parameterizes a streaming engine.
+	EngineConfig = engine.Config
+	// Grid is a replay's fixed instant grid.
+	Grid = engine.Grid
+	// InstantResult records one assignment instant of a replay.
+	InstantResult = engine.InstantResult
 	// ArrivingWorker is a worker joining the platform at a given time.
-	ArrivingWorker = simulate.ArrivingWorker
+	ArrivingWorker = engine.WorkerArrival
 	// ArrivingTask is a task published at a given time.
-	ArrivingTask = simulate.ArrivingTask
+	ArrivingTask = engine.TaskArrival
 )
 
-// NewPlatform binds a streaming simulator to a trained framework.
-func NewPlatform(fw *Framework, cfg SimConfig) (*Platform, error) {
-	return simulate.New(fw, cfg)
+// NewEngine binds a streaming engine to a trained framework.
+func NewEngine(fw *Framework, cfg EngineConfig) (*Engine, error) {
+	return engine.New(fw, cfg)
 }

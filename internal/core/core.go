@@ -120,39 +120,20 @@ func Train(data TrainingData, cfg Config) (*Framework, error) {
 			theta[u] = ldaModel.DocTopics(u)
 		}
 	}
-	f := &Framework{
-		cfg:     cfg,
-		graph:   data.Graph,
-		lda:     ldaModel,
-		theta:   theta,
-		mob:     mobility.Fit(data.Histories, cfg.Mobility),
-		entropy: entropy.Compute(data.Records),
-		prop:    rrr.Build(data.Graph, cfg.RPO),
-	}
-	f.engine = &influence.Engine{
-		Prop:         f.prop,
-		Wil:          f.mob,
-		LDA:          f.lda,
-		ThetaUser:    f.theta,
-		TopLocations: cfg.TopWillingnessLocations,
-	}
-	// The stored config drops the worker-pool knobs (now consumed by the
-	// sub-trainers above): like every trained component, a Framework's
-	// identity is independent of the Parallelism it was fitted with.
-	f.cfg.Parallelism = 0
-	f.cfg.LDA.Parallelism = 0
-	f.cfg.Mobility.Parallelism = 0
-	f.cfg.RPO.Parallelism = 0
-	return f, nil
+	return Restore(cfg, data.Graph, ldaModel, theta,
+		mobility.Fit(data.Histories, cfg.Mobility),
+		entropy.Compute(data.Records),
+		rrr.Build(data.Graph, cfg.RPO))
 }
 
-// Restore reassembles a framework from already-fitted components,
-// rebuilding the influence engine exactly as Train does. It is the
-// loading half of the framework artifact round trip (see internal/fwio):
-// given the components Train produced, the restored framework's every
-// downstream output is bit-identical to the trained one's. theta must
-// have one row per graph user (nil for users without documents), and
-// each non-nil row must be a topic mixture of the model's topic count.
+// Restore assembles a framework from already-fitted components and
+// builds its influence engine; Train ends by calling it on the
+// components it fitted. It is the loading half of the framework
+// artifact round trip (see internal/fwio): given the components Train
+// produced, the restored framework's every downstream output is
+// bit-identical to the trained one's. theta must have one row per graph
+// user (nil for users without documents), and each non-nil row must be
+// a topic mixture of the model's topic count.
 func Restore(cfg Config, graph *socialgraph.Graph, ldaModel *lda.Model, theta [][]float64, mob *mobility.Model, ent *entropy.Table, prop *rrr.Collection) (*Framework, error) {
 	cfg = cfg.withDefaults()
 	if graph == nil {
@@ -186,7 +167,9 @@ func Restore(cfg Config, graph *socialgraph.Graph, ldaModel *lda.Model, theta []
 		ThetaUser:    f.theta,
 		TopLocations: cfg.TopWillingnessLocations,
 	}
-	// Same identity rule as Train: parallelism knobs are runtime choices.
+	// The stored config drops the worker-pool knobs (consumed by Train's
+	// sub-trainers): like every trained component, a Framework's identity
+	// is independent of the Parallelism it was fitted with.
 	f.cfg.Parallelism = 0
 	f.cfg.LDA.Parallelism = 0
 	f.cfg.Mobility.Parallelism = 0

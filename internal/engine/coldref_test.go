@@ -1,4 +1,4 @@
-package simulate
+package engine_test
 
 import (
 	"math"
@@ -12,14 +12,15 @@ import (
 	"dita/internal/model"
 )
 
-// coldSessionRun is the cold reference of Platform.Run: it replays the
-// same instant grid — admissions with arrival-ordered stable ids, the
-// deadline sweep, retirement of matched pairs — but carries nothing
-// between instants except the pools. Every busy instant opens a fresh
-// session, scans assign.FeasiblePairs, prepares, solves through
-// AssignPrepared and retires. Latencies other than Metrics.CPU are zero;
-// everything else must equal the warm run's bit for bit.
-func coldSessionRun(fw *core.Framework, cfg Config, workers []ArrivingWorker, tasks []ArrivingTask) *Result {
+// coldSessionRun is the cold reference of Engine.Replay over
+// Grid.Schedule: it replays the same instant grid — admissions with
+// arrival-ordered stable ids, the deadline sweep, retirement of matched
+// pairs — but carries nothing between instants except the pools. Every
+// busy instant opens a fresh session, scans assign.FeasiblePairs,
+// prepares, solves through AssignPrepared and retires. The instants come
+// back normalized; everything else must equal the warm run's bit for
+// bit.
+func coldSessionRun(fw *core.Framework, cfg engine.Config, g engine.Grid, workers []engine.WorkerArrival, tasks []engine.TaskArrival) outcome {
 	comps := cfg.Components
 	if comps == 0 {
 		comps = influence.All
@@ -32,10 +33,10 @@ func coldSessionRun(fw *core.Framework, cfg Config, workers []ArrivingWorker, ta
 		wi    int
 		ti    int
 	)
-	res := &Result{}
-	count := int(math.Floor(cfg.Horizon/cfg.Step + 1e-9))
+	var res outcome
+	count := int(math.Floor(g.Horizon/g.Step + 1e-9))
 	for i := 0; i <= count; i++ {
-		now := cfg.Start + float64(i)*cfg.Step
+		now := g.Start + float64(i)*g.Step
 		for ; wi < len(workers) && workers[wi].At <= now; wi++ {
 			a := workers[wi]
 			pool = append(pool, model.Worker{ID: nextW, User: a.User, Loc: a.Loc, Radius: a.Radius})
@@ -49,7 +50,7 @@ func coldSessionRun(fw *core.Framework, cfg Config, workers []ArrivingWorker, ta
 			})
 			nextT++
 		}
-		ir := InstantResult{At: now}
+		ir := engine.InstantResult{At: now}
 		open = slices.DeleteFunc(open, func(t model.Task) bool {
 			if t.Expiry() < now {
 				ir.Expired++
@@ -57,7 +58,7 @@ func coldSessionRun(fw *core.Framework, cfg Config, workers []ArrivingWorker, ta
 			}
 			return false
 		})
-		res.ExpiredTasks += ir.Expired
+		res.Totals.Expired += ir.Expired
 		ir.OnlineWorkers, ir.OpenTasks = len(pool), len(open)
 		if len(pool) > 0 && len(open) > 0 {
 			inst := &model.Instance{Now: now, Workers: slices.Clone(pool), Tasks: slices.Clone(open)}
@@ -77,13 +78,13 @@ func coldSessionRun(fw *core.Framework, cfg Config, workers []ArrivingWorker, ta
 			}
 			pool = keep(pool, usedW)
 			open = keep(open, usedT)
-			res.TotalAssigned += set.Len()
+			res.Totals.Assigned += set.Len()
 		}
 		res.Instants = append(res.Instants, ir)
 	}
-	if total := res.TotalAssigned + res.ExpiredTasks; total > 0 {
-		res.CompletionRate = float64(res.TotalAssigned) / float64(total)
-	}
+	res.Instants = normalize(res.Instants)
+	res.Totals.Instants = len(res.Instants)
+	res.Totals.Events = int(nextW) + int(nextT)
 	return res
 }
 
@@ -98,29 +99,24 @@ func keep[T any](s []T, used []bool) []T {
 	return out
 }
 
-// BenchmarkPlatformRun times one streaming replay end to end with the
-// warm session (Platform.Run) and with a cold session per instant
+// BenchmarkEngineReplay times one streaming replay end to end with the
+// warm session (Engine.Replay) and with a cold session per instant
 // (coldSessionRun); the two make identical assignments, so the gap is
 // exactly the recomputation the session cache skips for carried-over
 // tasks and workers.
-func BenchmarkPlatformRun(b *testing.B) {
+func BenchmarkEngineReplay(b *testing.B) {
 	fw, data := testFramework(b)
 	ws, ts := streams(data, 150, 7)
-	cfg := Config{Algorithm: assign.IA, Step: 1, Start: 120, Horizon: 16, Seed: 9, Parallelism: 1}
+	cfg := engine.Config{Algorithm: assign.IA, Seed: 9, Parallelism: 1}
+	g := engine.Grid{Start: 120, Step: 1, Horizon: 16}
 	b.Run("warm", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			p, err := New(fw, cfg)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if _, err := p.Run(ws, ts); err != nil {
-				b.Fatal(err)
-			}
+			runGrid(b, fw, cfg, g, ws, ts)
 		}
 	})
 	b.Run("cold-session", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			coldSessionRun(fw, cfg, ws, ts)
+			coldSessionRun(fw, cfg, g, ws, ts)
 		}
 	})
 }

@@ -1,28 +1,33 @@
 // Package engine is the streaming assignment engine of the platform:
-// the event-driven instant loop that used to be hard-wired into
-// simulate.Platform.Run, extracted so that both a deterministic replay
-// driver (internal/simulate) and a long-lived serving front-end
-// (cmd/dita-serve) can run the same loop against the same carry-over
-// state.
+// the event-driven instant loop that both the deterministic grid replay
+// (Grid.Schedule + Engine.Replay, behind dita-sim -stream) and the
+// long-lived serving front-end (cmd/dita-serve) run against the same
+// carry-over state.
 //
 // The engine applies an explicit event stream — WorkerArrive,
 // WorkerDepart, TaskArrive, TaskExpire — to the pools backing a
 // core.Session, and fires assignment instants (InstantFire) that
 // snapshot the pools, scan the feasible pairs, run the online phase
 // through the session caches, solve the assignment and retire the
-// matched pairs. Entities keep platform-stable identities for their
-// whole lifetime, which is the contract the influence session's
-// per-entity cache keys rely on. Nothing on the instant path depends on
-// instant times arriving in order: feasibility is recomputed from the
-// pools at every busy instant.
+// matched pairs. Per the paper's streaming protocol a worker stays
+// online until assigned a task, and an unassigned task remains
+// available until it expires (s.p + s.ϕ). Entities keep platform-stable
+// identities for their whole lifetime, which is the contract the
+// influence session's per-entity cache keys rely on. Nothing on the
+// instant path depends on instant times arriving in order: feasibility
+// is recomputed from the pools at every busy instant.
+//
+// Replay is the batch form and serving the streaming form of the same
+// engine: fed the same event sequence (dita-sim -stream -serve posts a
+// grid schedule to a live server) they produce bit-identical results,
+// which is what the serve CI smoke diffs byte for byte.
 //
 // Determinism: the engine core never reads the wall clock or any other
 // ambient state. Simulation time arrives on the events themselves
 // (Event.At, task publish times), and latency measurement goes through
 // an injected monotonic Clock — nil for a clockless engine whose
 // recorded latencies are simply zero. Two engines fed the same event
-// stream produce bit-identical results at any Parallelism setting, the
-// property the replay-vs-serve CI smoke diffs byte for byte.
+// stream produce bit-identical results at any Parallelism setting.
 //
 // Concurrency: an Engine is single-threaded by design (the session
 // caches it drives are not safe for concurrent use). Front-ends that
@@ -51,8 +56,8 @@ import (
 type Clock func() time.Duration
 
 // WorkerArrival is the payload of a WorkerArrive event: a worker joining
-// the platform. At is the arrival time in hours — the replay driver uses
-// it to order admissions against the instant grid; the engine itself
+// the platform. At is the arrival time in hours — Grid.Schedule uses it
+// to order admissions against the instant grid; the engine itself
 // stores only the worker.
 type WorkerArrival struct {
 	User   model.WorkerID
@@ -151,8 +156,7 @@ type Config struct {
 	Clock Clock
 	// Trigger is the instant-firing policy consulted after every applied
 	// arrival/departure (Applied.FireNow); nil never volunteers an
-	// instant, leaving firing entirely to the caller (the replay
-	// driver's mode).
+	// instant, leaving firing entirely to the caller (Replay's mode).
 	Trigger Trigger
 }
 
@@ -171,6 +175,16 @@ type Totals struct {
 	Cancelled int `json:"cancelled"`
 	// Departed counts workers removed by explicit WorkerDepart events.
 	Departed int `json:"departed"`
+}
+
+// CompletionRate is Assigned / (Assigned + Expired), or 0 when no task
+// was ever assigned or expired. Tasks still open, or withdrawn by their
+// requester, count neither way: only actual expiries count against it.
+func (t Totals) CompletionRate() float64 {
+	if total := t.Assigned + t.Expired; total > 0 {
+		return float64(t.Assigned) / float64(total)
+	}
+	return 0
 }
 
 // AssignedPair is one matched pair of an instant in platform-stable

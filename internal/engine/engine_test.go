@@ -17,10 +17,9 @@ import (
 	"dita/internal/model"
 	"dita/internal/paralleltest"
 	"dita/internal/randx"
-	"dita/internal/simulate"
 )
 
-func testFramework(t *testing.T) (*core.Framework, *dataset.Data) {
+func testFramework(t testing.TB) (*core.Framework, *dataset.Data) {
 	t.Helper()
 	p := dataset.BrightkiteLike()
 	p.NumUsers = 150
@@ -96,9 +95,10 @@ func normalize(instants []engine.InstantResult) []engine.InstantResult {
 }
 
 // replayGrid drives a bare engine with an explicit event stream on the
-// same integer instant grid the replay driver uses: admissions up to
-// each instant (workers, then tasks, in arrival order), then an
-// InstantFire event.
+// same integer instant grid Grid.Schedule uses: admissions up to each
+// instant (workers, then tasks, in arrival order), then an InstantFire
+// event. It is the independent reference Engine.Replay is checked
+// against.
 func replayGrid(t *testing.T, e *engine.Engine, ws []engine.WorkerArrival, ts []engine.TaskArrival, start, step, horizon float64) []engine.InstantResult {
 	t.Helper()
 	var out []engine.InstantResult
@@ -127,48 +127,35 @@ func replayGrid(t *testing.T, e *engine.Engine, ws []engine.WorkerArrival, ts []
 	return out
 }
 
-// TestEngineReplayMatchesPlatformRun is the tentpole's acceptance gate:
-// simulate.Platform.Run is now a replay driver over the engine, and an
-// explicit event stream driven through Engine.Apply — the form
-// dita-serve ingests — must reproduce the whole run bit for bit
-// (DeepEqual after stripping wall-clock fields) at Parallelism 1, 2 and
-// 8, clockless engine against the platform's real-clock one.
-func TestEngineReplayMatchesPlatformRun(t *testing.T) {
+// TestEngineReplayMatchesGridReference: Engine.Replay over
+// Grid.Schedule must reproduce the explicit event stream of replayGrid
+// bit for bit (DeepEqual after stripping wall-clock fields) at
+// Parallelism 1, 2 and 8, a real-clock replay against a clockless
+// reference engine, with equal totals.
+func TestEngineReplayMatchesGridReference(t *testing.T) {
 	fw, data := testFramework(t)
 	ws, ts := streams(data, 50, 11)
-	const start, step, horizon = 120, 2, 16
+	g := engine.Grid{Start: 120, Step: 2, Horizon: 16}
 	for _, par := range paralleltest.WorkerCounts {
-		p, err := simulate.New(fw, simulate.Config{
-			Algorithm: assign.IA, Step: step, Start: start, Horizon: horizon,
-			Seed: 5, Parallelism: par,
-		})
+		cfg := engine.Config{Algorithm: assign.IA, Seed: 5, Parallelism: par}
+		instants, replayed := runGrid(t, fw, cfg, g, ws, ts)
+		ref, err := engine.New(fw, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := p.Run(ws, ts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		e, err := engine.New(fw, engine.Config{
-			Algorithm: assign.IA, Seed: 5, Parallelism: par,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		got := replayGrid(t, e, ws, ts, start, step, horizon)
-		if res.TotalAssigned == 0 {
+		got := replayGrid(t, ref, ws, ts, g.Start, g.Step, g.Horizon)
+		tot := replayed.Totals()
+		if tot.Assigned == 0 {
 			t.Fatal("equivalence run assigned nothing; streams too sparse to gate anything")
 		}
-		if !reflect.DeepEqual(normalize(res.Instants), normalize(got)) {
-			t.Fatalf("parallelism %d: event-driven engine diverged from Platform.Run replay", par)
+		if !reflect.DeepEqual(normalize(instants), normalize(got)) {
+			t.Fatalf("parallelism %d: event-driven engine diverged from the grid replay", par)
 		}
-		tot := e.Totals()
-		if tot.Assigned != res.TotalAssigned || tot.Expired != res.ExpiredTasks {
-			t.Fatalf("parallelism %d: totals %+v vs platform %d assigned / %d expired",
-				par, tot, res.TotalAssigned, res.ExpiredTasks)
+		if ref.Totals() != tot {
+			t.Fatalf("parallelism %d: totals %+v vs replay %+v", par, ref.Totals(), tot)
 		}
-		if tot.Instants != len(res.Instants) {
-			t.Fatalf("parallelism %d: %d instants counted, %d recorded", par, tot.Instants, len(res.Instants))
+		if tot.Instants != len(instants) {
+			t.Fatalf("parallelism %d: %d instants counted, %d recorded", par, tot.Instants, len(instants))
 		}
 	}
 }
@@ -283,9 +270,6 @@ func TestEngineTriggers(t *testing.T) {
 			t.Errorf("%T fired on queue depth", trig)
 		}
 	}
-	if (engine.BatchTrigger{N: 3, Fallback: time.Minute}).TickEvery() != time.Minute {
-		t.Error("batch fallback period lost")
-	}
 	if (engine.TickTrigger{Every: time.Second}).TickEvery() != time.Second {
 		t.Error("tick period lost")
 	}
@@ -316,23 +300,14 @@ func TestEngineSessionCapacityAdversarialStream(t *testing.T) {
 	}
 	sortArrivals(ws, ts)
 	const cap = 25
-	run := func(capacity, par int) (*simulate.Result, *simulate.Platform) {
-		p, err := simulate.New(fw, simulate.Config{
-			Algorithm: assign.IA, Step: 1, Start: 120, Horizon: 16,
-			Seed: 9, Parallelism: par, SessionCapacity: capacity,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		res, err := p.Run(ws, ts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		res.Instants = normalize(res.Instants)
-		return res, p
+	run := func(capacity, par int) (outcome, *engine.Engine) {
+		instants, e := runGrid(t, fw, engine.Config{
+			Algorithm: assign.IA, Seed: 9, Parallelism: par, SessionCapacity: capacity,
+		}, engine.Grid{Start: 120, Step: 1, Horizon: 16}, ws, ts)
+		return settle(instants, e), e
 	}
 	want, pw := run(0, 1)
-	if want.TotalAssigned == 0 {
+	if want.Totals.Assigned == 0 {
 		t.Fatal("adversarial run assigned nothing; the servable substream is too sparse")
 	}
 	// The adversarial entities must actually outgrow the capacity, or the

@@ -7,8 +7,8 @@ import "time"
 // so a trigger expresses policy in two halves the front-end executes:
 // FireOnPending is consulted synchronously after every applied event
 // (Applied.FireNow), and TickEvery tells a real-time front-end how often
-// to fire on wall time (zero: never; the replay driver ignores it and
-// fires on its simulated grid).
+// to fire on wall time (zero: never; Engine.Replay ignores it and fires
+// where its schedule places instants).
 type Trigger interface {
 	// FireOnPending reports whether an instant should fire now, given
 	// the number of events applied since the last instant.
@@ -19,7 +19,7 @@ type Trigger interface {
 }
 
 // TickTrigger fires on a fixed wall-time period and never on queue
-// depth — the serving analogue of the simulator's fixed instant grid.
+// depth — the serving analogue of a replay's fixed instant Grid.
 type TickTrigger struct {
 	// Every is the firing period.
 	Every time.Duration
@@ -32,14 +32,10 @@ func (TickTrigger) FireOnPending(int) bool { return false }
 func (t TickTrigger) TickEvery() time.Duration { return t.Every }
 
 // BatchTrigger fires as soon as N events have accumulated since the
-// last instant, with an optional wall-time fallback so a trickle of
-// arrivals below the threshold still gets assigned.
+// last instant, and never on wall time.
 type BatchTrigger struct {
 	// N is the batch-size threshold.
 	N int
-	// Fallback is the maximum wall time between instants regardless of
-	// queue depth; 0 disables the fallback.
-	Fallback time.Duration
 }
 
 // FireOnPending reports whether the batch threshold is reached.
@@ -47,11 +43,11 @@ func (b BatchTrigger) FireOnPending(pending int) bool {
 	return b.N > 0 && pending >= b.N
 }
 
-// TickEvery returns the wall-time fallback period.
-func (b BatchTrigger) TickEvery() time.Duration { return b.Fallback }
+// TickEvery returns 0: a batch trigger is event-count-driven.
+func (BatchTrigger) TickEvery() time.Duration { return 0 }
 
 // ManualTrigger never fires on its own: instants happen only when the
-// caller explicitly requests one (the replay driver's grid, a test, or
+// caller explicitly requests one (a replay schedule, a test, or
 // dita-serve's /instant endpoint).
 type ManualTrigger struct{}
 

@@ -43,8 +43,8 @@ type Params struct {
 	// lower it on wide machines with large sweeps.
 	Parallelism int
 	// Shard restricts the sweeps to this process's slice of the
-	// (figure × x × day) job grid (see Shard): the figure methods then
-	// refuse to reduce — a partial grid has no honest averages — and the
+	// (figure × x × day) job grid (see Shard): RunFigure then refuses
+	// to reduce — a partial grid has no honest averages — and the
 	// raw sweeps are collected into a ShardResult artifact instead,
 	// merged later by MergeRaw against the other shards' artifacts. The
 	// zero value runs everything in-process, unsharded.
@@ -354,17 +354,17 @@ func NewRunnerFromFramework(data *dataset.Data, fw *core.Framework, p Params) (*
 	return &Runner{Data: data, FW: fw, P: p}, nil
 }
 
-// snapshot builds the instance for one day under possibly overridden
-// sweep parameters.
-func (r *Runner) snapshot(day, numTasks, numWorkers int, valid, radius float64) (*model.Instance, error) {
-	return r.Data.Snapshot(dataset.SnapshotParams{
+// snapshotParams returns the Table-II snapshot of one evaluation day;
+// a sweep overrides its figure's axis on top.
+func (r *Runner) snapshotParams(day int) dataset.SnapshotParams {
+	return dataset.SnapshotParams{
 		Day:        day,
-		NumTasks:   numTasks,
-		NumWorkers: numWorkers,
-		ValidHours: valid,
-		RadiusKm:   radius,
+		NumTasks:   r.P.NumTasks,
+		NumWorkers: r.P.NumWorkers,
+		ValidHours: r.P.ValidHours,
+		RadiusKm:   r.P.RadiusKm,
 		Seed:       r.P.Seed,
-	})
+	}
 }
 
 // feasiblePairs computes a sweep point's feasibility exactly once; every
@@ -482,45 +482,29 @@ func (r *Runner) runSweep(fig int, xlabel string, xs []float64, series []string,
 	return raw, nil
 }
 
-// reduceRaw chains a raw sweep into its reduced Result, keeping the
-// figure methods one-liners.
-func reduceRaw(raw *SweepRaw, err error) (*Result, error) {
-	if err != nil {
-		return nil, err
+// compare runs the five algorithms on one sweep point; this backs
+// Figures 9–16.
+func (r *Runner) compare(inst *model.Instance, day int) []core.Metrics {
+	// A single-use session per job: the sweep fan-out already saturates
+	// the pool, so the online phase runs at parallelism 1 inside each job
+	// (bit-identical to any other setting). Per-day seeds mix the day in
+	// via randx.Mix rather than addition, so nearby days cannot collide
+	// with nearby base seeds.
+	pairs := r.feasiblePairs(inst)
+	ev := r.FW.PrepareSession(influence.All, randx.Mix(r.P.Seed, uint64(day)), 1).Prepare(inst, pairs)
+	ms := make([]core.Metrics, len(assign.Algorithms))
+	for ai, alg := range assign.Algorithms {
+		_, m, _ := r.FW.AssignPrepared(inst, ev, alg, pairs, 1)
+		ms[ai] = m
 	}
-	return raw.Reduce()
+	return ms
 }
 
-// runComparison executes the five algorithms for each sweep value and
-// averages the metrics over the evaluation days; this backs Figures 9–16.
-func (r *Runner) runComparison(fig int, xlabel string, xs []float64, makeInst func(day int, x float64) (*model.Instance, error)) (*SweepRaw, error) {
-	series := make([]string, len(assign.Algorithms))
-	for i, alg := range assign.Algorithms {
-		series[i] = alg.String()
-	}
-	return r.runSweep(fig, xlabel, xs, series, func(day int, x float64) ([]core.Metrics, error) {
-		inst, err := makeInst(day, x)
-		if err != nil {
-			return nil, err
-		}
-		// A single-use session per job: the sweep fan-out above already
-		// saturates the pool, so the online phase runs at parallelism 1
-		// inside each job (bit-identical to any other setting). Per-day
-		// seeds mix the day in via randx.Mix rather than addition, so
-		// nearby days cannot collide with nearby base seeds.
-		pairs := r.feasiblePairs(inst)
-		ev := r.FW.PrepareSession(influence.All, randx.Mix(r.P.Seed, uint64(day)), 1).Prepare(inst, pairs)
-		ms := make([]core.Metrics, len(assign.Algorithms))
-		for ai, alg := range assign.Algorithms {
-			_, m, _ := r.FW.AssignPrepared(inst, ev, alg, pairs, 1)
-			ms[ai] = m
-		}
-		return ms, nil
-	})
-}
+// ablationMasks are the influence models Figures 5–8 compare IA under.
+var ablationMasks = []influence.Components{influence.All, influence.WP, influence.AP, influence.AW}
 
-// runAblation executes the IA algorithm under the four component masks
-// (IA, IA-WP, IA-AP, IA-AW) for each sweep value; this backs Figures 5–8.
+// ablate runs IA under each of ablationMasks on one sweep point; this
+// backs Figures 5–8.
 //
 // Each variant ASSIGNS with its masked influence model, but — as in the
 // paper, where AI (Equation 6) is defined once over the full worker-task
@@ -528,143 +512,57 @@ func (r *Runner) runComparison(fig int, xlabel string, xs []float64, makeInst fu
 // the full model. The masks therefore change the assignment, and the
 // reported AI measures how much worker-task influence that assignment
 // actually realizes.
-func (r *Runner) runAblation(fig int, xlabel string, xs []float64, makeInst func(day int, x float64) (*model.Instance, error)) (*SweepRaw, error) {
-	masks := []influence.Components{influence.All, influence.WP, influence.AP, influence.AW}
-	series := make([]string, len(masks))
-	for i, mk := range masks {
-		series[i] = mk.String()
-	}
-	return r.runSweep(fig, xlabel, xs, series, func(day int, x float64) ([]core.Metrics, error) {
-		inst, err := makeInst(day, x)
-		if err != nil {
-			return nil, err
+func (r *Runner) ablate(inst *model.Instance, day int) []core.Metrics {
+	pairs := r.feasiblePairs(inst)
+	// Single-use sessions per mask (see compare on why each job runs its
+	// online phase at parallelism 1).
+	daySeed := randx.Mix(r.P.Seed, uint64(day))
+	evFull := r.FW.PrepareSession(influence.All, daySeed, 1).Prepare(inst, pairs)
+	ms := make([]core.Metrics, len(ablationMasks))
+	for mi, mk := range ablationMasks {
+		ev := evFull
+		if mk != influence.All {
+			ev = r.FW.PrepareSession(mk, daySeed, 1).Prepare(inst, pairs)
 		}
-		pairs := r.feasiblePairs(inst)
-		// Single-use sessions per mask (see runComparison on why each job
-		// runs its online phase at parallelism 1).
-		daySeed := randx.Mix(r.P.Seed, uint64(day))
-		evFull := r.FW.PrepareSession(influence.All, daySeed, 1).Prepare(inst, pairs)
-		ms := make([]core.Metrics, len(masks))
-		for mi, mk := range masks {
-			ev := evFull
-			if mk != influence.All {
-				ev = r.FW.PrepareSession(mk, daySeed, 1).Prepare(inst, pairs)
+		set, m, _ := r.FW.AssignPrepared(inst, ev, assign.IA, pairs, 1)
+		// Rescore the realized assignment under the full model.
+		if set.Len() > 0 {
+			sum := 0.0
+			for _, pr := range set.Pairs {
+				sum += evFull.Influence(int(pr.Worker), int(pr.Task))
 			}
-			set, m, _ := r.FW.AssignPrepared(inst, ev, assign.IA, pairs, 1)
-			// Rescore the realized assignment under the full model.
-			if set.Len() > 0 {
-				sum := 0.0
-				for _, pr := range set.Pairs {
-					sum += evFull.Influence(int(pr.Worker), int(pr.Task))
-				}
-				m.AI = sum / float64(set.Len())
-			}
-			ms[mi] = m
+			m.AI = sum / float64(set.Len())
 		}
-		return ms, nil
-	})
-}
-
-// Figure numbering follows the paper: ablations are Fig. 5–8; algorithm
-// comparisons are Fig. 9/10 (|S|), 11/12 (|W|), 13/14 (ϕ), 15/16 (r),
-// with the odd number on BK and the even on FS. The dataset half of the
-// numbering comes from the runner's dataset.
-
-// AblationTasks reproduces Fig. 5 (effect of |S| on AI for IA variants).
-func (r *Runner) AblationTasks(xs []int) (*Result, error) {
-	return reduceRaw(r.ablationTasksRaw(xs))
-}
-
-func (r *Runner) ablationTasksRaw(xs []int) (*SweepRaw, error) {
-	return r.runAblation(5, "|S|", toF(xs), func(day int, x float64) (*model.Instance, error) {
-		return r.snapshot(day, int(x), r.P.NumWorkers, r.P.ValidHours, r.P.RadiusKm)
-	})
-}
-
-// AblationWorkers reproduces Fig. 6 (effect of |W|).
-func (r *Runner) AblationWorkers(xs []int) (*Result, error) {
-	return reduceRaw(r.ablationWorkersRaw(xs))
-}
-
-func (r *Runner) ablationWorkersRaw(xs []int) (*SweepRaw, error) {
-	return r.runAblation(6, "|W|", toF(xs), func(day int, x float64) (*model.Instance, error) {
-		return r.snapshot(day, r.P.NumTasks, int(x), r.P.ValidHours, r.P.RadiusKm)
-	})
-}
-
-// AblationValidTime reproduces Fig. 7 (effect of ϕ).
-func (r *Runner) AblationValidTime(xs []float64) (*Result, error) {
-	return reduceRaw(r.ablationValidTimeRaw(xs))
-}
-
-func (r *Runner) ablationValidTimeRaw(xs []float64) (*SweepRaw, error) {
-	return r.runAblation(7, "phi(h)", xs, func(day int, x float64) (*model.Instance, error) {
-		return r.snapshot(day, r.P.NumTasks, r.P.NumWorkers, x, r.P.RadiusKm)
-	})
-}
-
-// AblationRadius reproduces Fig. 8 (effect of r).
-func (r *Runner) AblationRadius(xs []float64) (*Result, error) {
-	return reduceRaw(r.ablationRadiusRaw(xs))
-}
-
-func (r *Runner) ablationRadiusRaw(xs []float64) (*SweepRaw, error) {
-	return r.runAblation(8, "r(km)", xs, func(day int, x float64) (*model.Instance, error) {
-		return r.snapshot(day, r.P.NumTasks, r.P.NumWorkers, r.P.ValidHours, x)
-	})
-}
-
-// CompareTasks reproduces Fig. 9 (BK) / Fig. 10 (FS): effect of |S| on
-// the five algorithms across all five metrics.
-func (r *Runner) CompareTasks(xs []int) (*Result, error) {
-	return reduceRaw(r.compareTasksRaw(xs))
-}
-
-func (r *Runner) compareTasksRaw(xs []int) (*SweepRaw, error) {
-	return r.runComparison(r.figNum(9, 10), "|S|", toF(xs), func(day int, x float64) (*model.Instance, error) {
-		return r.snapshot(day, int(x), r.P.NumWorkers, r.P.ValidHours, r.P.RadiusKm)
-	})
-}
-
-// CompareWorkers reproduces Fig. 11 (BK) / Fig. 12 (FS).
-func (r *Runner) CompareWorkers(xs []int) (*Result, error) {
-	return reduceRaw(r.compareWorkersRaw(xs))
-}
-
-func (r *Runner) compareWorkersRaw(xs []int) (*SweepRaw, error) {
-	return r.runComparison(r.figNum(11, 12), "|W|", toF(xs), func(day int, x float64) (*model.Instance, error) {
-		return r.snapshot(day, r.P.NumTasks, int(x), r.P.ValidHours, r.P.RadiusKm)
-	})
-}
-
-// CompareValidTime reproduces Fig. 13 (BK) / Fig. 14 (FS).
-func (r *Runner) CompareValidTime(xs []float64) (*Result, error) {
-	return reduceRaw(r.compareValidTimeRaw(xs))
-}
-
-func (r *Runner) compareValidTimeRaw(xs []float64) (*SweepRaw, error) {
-	return r.runComparison(r.figNum(13, 14), "phi(h)", xs, func(day int, x float64) (*model.Instance, error) {
-		return r.snapshot(day, r.P.NumTasks, r.P.NumWorkers, x, r.P.RadiusKm)
-	})
-}
-
-// CompareRadius reproduces Fig. 15 (BK) / Fig. 16 (FS).
-func (r *Runner) CompareRadius(xs []float64) (*Result, error) {
-	return reduceRaw(r.compareRadiusRaw(xs))
-}
-
-func (r *Runner) compareRadiusRaw(xs []float64) (*SweepRaw, error) {
-	return r.runComparison(r.figNum(15, 16), "r(km)", xs, func(day int, x float64) (*model.Instance, error) {
-		return r.snapshot(day, r.P.NumTasks, r.P.NumWorkers, r.P.ValidHours, x)
-	})
-}
-
-// figNum resolves a BK/FS figure pair to this runner's dataset.
-func (r *Runner) figNum(bk, fs int) int {
-	if r.Data.Params.Name == "FS" {
-		return fs
+		ms[mi] = m
 	}
-	return bk
+	return ms
+}
+
+// sweepAxis is the parameter a figure sweeps: its label, its values at
+// an evaluation scale, and the snapshot field a sweep value overrides.
+type sweepAxis struct {
+	label  string
+	values func(Sweeps) []float64
+	set    func(p *dataset.SnapshotParams, x float64)
+}
+
+// sweepAxes lists |S|, |W|, ϕ and r, in figure order.
+var sweepAxes = [...]sweepAxis{
+	{"|S|", func(s Sweeps) []float64 { return toF(s.Tasks) }, func(p *dataset.SnapshotParams, x float64) { p.NumTasks = int(x) }},
+	{"|W|", func(s Sweeps) []float64 { return toF(s.Workers) }, func(p *dataset.SnapshotParams, x float64) { p.NumWorkers = int(x) }},
+	{"phi(h)", func(s Sweeps) []float64 { return s.Valid }, func(p *dataset.SnapshotParams, x float64) { p.ValidHours = x }},
+	{"r(km)", func(s Sweeps) []float64 { return s.Radius }, func(p *dataset.SnapshotParams, x float64) { p.RadiusKm = x }},
+}
+
+// figureAxis returns the axis figure fig (5..16) sweeps. Figure
+// numbering follows the paper: the ablations are Fig. 5–8, one per axis;
+// the algorithm comparisons are Fig. 9/10 (|S|), 11/12 (|W|), 13/14 (ϕ)
+// and 15/16 (r), with the odd number on BK and the even on FS.
+func figureAxis(fig int) sweepAxis {
+	if fig <= 8 {
+		return sweepAxes[fig-5]
+	}
+	return sweepAxes[(fig-9)/2]
 }
 
 // FigureOnDataset reports whether figure fig (5..16) is evaluated on
@@ -696,35 +594,45 @@ func (r *Runner) HasFigure(fig int) bool {
 
 // RunFigureRaw executes this shard's share of one figure's job grid
 // (fig 5..16, sweeps chosen by the caller's scale) and returns the raw
-// per-job metrics — the unit a ShardResult artifact collects.
+// per-job metrics — the unit a ShardResult artifact collects. The figure
+// number picks the driver — ablate for 5–8, compare for 9–16 — and the
+// axis whose snapshot field each sweep value overrides.
 func (r *Runner) RunFigureRaw(fig int, sw Sweeps) (*SweepRaw, error) {
 	if !r.HasFigure(fig) {
 		return nil, fmt.Errorf("experiments: figure %d is not evaluated on %s", fig, r.Data.Params.Name)
 	}
-	switch fig {
-	case 5:
-		return r.ablationTasksRaw(sw.Tasks)
-	case 6:
-		return r.ablationWorkersRaw(sw.Workers)
-	case 7:
-		return r.ablationValidTimeRaw(sw.Valid)
-	case 8:
-		return r.ablationRadiusRaw(sw.Radius)
-	case 9, 10:
-		return r.compareTasksRaw(sw.Tasks)
-	case 11, 12:
-		return r.compareWorkersRaw(sw.Workers)
-	case 13, 14:
-		return r.compareValidTimeRaw(sw.Valid)
-	default: // 15, 16 — HasFigure bounds fig to 5..16
-		return r.compareRadiusRaw(sw.Radius)
+	var series []string
+	eval := r.compare
+	if fig <= 8 {
+		eval = r.ablate
+		for _, mk := range ablationMasks {
+			series = append(series, mk.String())
+		}
+	} else {
+		for _, alg := range assign.Algorithms {
+			series = append(series, alg.String())
+		}
 	}
+	ax := figureAxis(fig)
+	return r.runSweep(fig, ax.label, ax.values(sw), series, func(day int, x float64) ([]core.Metrics, error) {
+		sp := r.snapshotParams(day)
+		ax.set(&sp, x)
+		inst, err := r.Data.Snapshot(sp)
+		if err != nil {
+			return nil, err
+		}
+		return eval(inst, day), nil
+	})
 }
 
 // RunFigure is RunFigureRaw plus the reduction — the figure's Result,
 // for unsharded in-process runs.
 func (r *Runner) RunFigure(fig int, sw Sweeps) (*Result, error) {
-	return reduceRaw(r.RunFigureRaw(fig, sw))
+	raw, err := r.RunFigureRaw(fig, sw)
+	if err != nil {
+		return nil, err
+	}
+	return raw.Reduce()
 }
 
 func toF(xs []int) []float64 {

@@ -92,7 +92,7 @@ func TestSweepValuesMatchPaper(t *testing.T) {
 // shared Problem.Pairs path changes the work, never the figures.
 func TestSharedPairsMatchPerAlgorithmRecompute(t *testing.T) {
 	r := testRunner(t)
-	inst, err := r.snapshot(r.P.Days[0], r.P.NumTasks, r.P.NumWorkers, r.P.ValidHours, r.P.RadiusKm)
+	inst, err := r.Data.Snapshot(r.snapshotParams(r.P.Days[0]))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,7 +116,7 @@ func TestSharedPairsMatchPerAlgorithmRecompute(t *testing.T) {
 
 func TestComparisonSweepShape(t *testing.T) {
 	r := testRunner(t)
-	res, err := r.CompareTasks([]int{30, 60})
+	res, err := r.RunFigure(9, Sweeps{Tasks: []int{30, 60}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,7 +154,7 @@ func TestComparisonSweepShape(t *testing.T) {
 
 func TestAblationSweepShape(t *testing.T) {
 	r := testRunner(t)
-	res, err := r.AblationTasks([]int{40})
+	res, err := r.RunFigure(5, Sweeps{Tasks: []int{40}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -184,7 +184,7 @@ func TestAblationSweepShape(t *testing.T) {
 
 func TestRadiusSweepGrowsAssignments(t *testing.T) {
 	r := testRunner(t)
-	res, err := r.CompareRadius([]float64{5, 25})
+	res, err := r.RunFigure(15, Sweeps{Radius: []float64{5, 25}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -199,7 +199,7 @@ func TestRadiusSweepGrowsAssignments(t *testing.T) {
 
 func TestValidTimeSweepGrowsAssignments(t *testing.T) {
 	r := testRunner(t)
-	res, err := r.CompareValidTime([]float64{1, 6})
+	res, err := r.RunFigure(13, Sweeps{Valid: []float64{1, 6}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -214,7 +214,7 @@ func TestValidTimeSweepGrowsAssignments(t *testing.T) {
 
 func TestWorkerSweepGrowsAssignments(t *testing.T) {
 	r := testRunner(t)
-	res, err := r.CompareWorkers([]int{20, 50})
+	res, err := r.RunFigure(11, Sweeps{Workers: []int{20, 50}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -229,7 +229,7 @@ func TestWorkerSweepGrowsAssignments(t *testing.T) {
 
 func TestFormatTable(t *testing.T) {
 	r := testRunner(t)
-	res, err := r.CompareTasks([]int{30})
+	res, err := r.RunFigure(9, Sweeps{Tasks: []int{30}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -252,7 +252,7 @@ func TestFormatTable(t *testing.T) {
 
 func TestWriteCSV(t *testing.T) {
 	r := testRunner(t)
-	res, err := r.AblationTasks([]int{40})
+	res, err := r.RunFigure(5, Sweeps{Tasks: []int{40}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -385,11 +385,11 @@ func TestNewRunnerValidation(t *testing.T) {
 func TestRunnerDeterministic(t *testing.T) {
 	a := testRunner(t)
 	b := testRunner(t)
-	ra, err := a.AblationTasks([]int{40})
+	ra, err := a.RunFigure(5, Sweeps{Tasks: []int{40}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	rb, err := b.AblationTasks([]int{40})
+	rb, err := b.RunFigure(5, Sweeps{Tasks: []int{40}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -423,7 +423,7 @@ func TestSweepParallelismInvariant(t *testing.T) {
 		paralleltest.Invariant(t, func(par int) any {
 			run := *r
 			run.P.Parallelism = par
-			res, err := run.CompareTasks([]int{30, 60})
+			res, err := run.RunFigure(9, Sweeps{Tasks: []int{30, 60}})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -434,7 +434,7 @@ func TestSweepParallelismInvariant(t *testing.T) {
 		paralleltest.Invariant(t, func(par int) any {
 			run := *r
 			run.P.Parallelism = par
-			res, err := run.AblationTasks([]int{40})
+			res, err := run.RunFigure(5, Sweeps{Tasks: []int{40}})
 			if err != nil {
 				t.Fatal(err)
 			}

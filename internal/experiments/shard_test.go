@@ -214,7 +214,7 @@ func TestMergeDetectsBrokenShardSets(t *testing.T) {
 	}
 }
 
-// TestShardedRunRefusesToReduce: a figure method under a real shard
+// TestShardedRunRefusesToReduce: RunFigure under a real shard
 // holds a partial grid, and partial grids must never average — the old
 // accumulator would have fabricated all-zero rows for the missing
 // cells.
@@ -222,11 +222,11 @@ func TestShardedRunRefusesToReduce(t *testing.T) {
 	r := testRunner(t)
 	run := *r
 	run.P.Shard = Shard{Index: 0, Count: 2}
-	if _, err := run.AblationTasks([]int{40}); err == nil || !strings.Contains(err.Error(), "missing") {
-		t.Errorf("sharded figure method reduced a partial grid: err = %v", err)
+	if _, err := run.RunFigure(5, Sweeps{Tasks: []int{40}}); err == nil || !strings.Contains(err.Error(), "missing") {
+		t.Errorf("sharded RunFigure reduced a partial grid: err = %v", err)
 	}
 	run.P.Shard = Shard{Index: 2, Count: 2}
-	if _, err := run.AblationTasks([]int{40}); err == nil {
+	if _, err := run.RunFigure(5, Sweeps{Tasks: []int{40}}); err == nil {
 		t.Error("invalid shard spec accepted by the sweep")
 	}
 }

@@ -106,11 +106,6 @@ type Engine struct {
 	// computed on demand, see Session) and preserves ≥95% of the mass on
 	// heavy-tailed visit distributions.
 	TopLocations int
-	// Parallelism bounds the worker pool one-shot Prepare calls use for
-	// per-task and per-worker state (<= 0 means all cores). The result is
-	// bit-identical at any setting; sessions take their own bound via
-	// NewSession.
-	Parallelism int
 }
 
 // rootCount is a compacted view of the RRR cover of one instance worker:
@@ -160,9 +155,10 @@ type Evaluator struct {
 // session answer every declared pair bit-identically: per-task LDA
 // fold-in streams are keyed by stable task identity (randx.Mix(seed,
 // Task.ID)), never by the task's position in the instance. Task IDs must
-// therefore be unique within the instance.
+// therefore be unique within the instance. The session computes on all
+// cores; the result is bit-identical at any pool width.
 func (e *Engine) Prepare(inst *model.Instance, pairs []assign.Pair, comps Components, seed uint64) *Evaluator {
-	return e.NewSession(comps, seed, e.Parallelism).Evaluate(inst, pairs)
+	return e.NewSession(comps, seed, 0).Evaluate(inst, pairs)
 }
 
 // truncatedModels returns per-user willingness models limited to the
