@@ -34,7 +34,7 @@ type Config struct {
 	SpeedKmH float64 `json:"speed_kmh"`
 	// TopWillingnessLocations bounds the per-worker location set each
 	// willingness entry sums over; 0 keeps all locations. See
-	// influence.Engine.TopLocations.
+	// mobility.NewKernel.
 	TopWillingnessLocations int `json:"top_willingness_locations"`
 	// Parallelism is the umbrella worker-pool bound for the whole
 	// training phase: when set (> 0) it is copied into every sub-config
@@ -161,11 +161,10 @@ func Restore(cfg Config, graph *socialgraph.Graph, ldaModel *lda.Model, theta []
 		prop:    prop,
 	}
 	f.engine = &influence.Engine{
-		Prop:         f.prop,
-		Wil:          f.mob,
-		LDA:          f.lda,
-		ThetaUser:    f.theta,
-		TopLocations: cfg.TopWillingnessLocations,
+		Prop:      f.prop,
+		Wil:       mobility.NewKernel(f.mob, graph.N(), cfg.TopWillingnessLocations),
+		LDA:       f.lda,
+		ThetaUser: f.theta,
 	}
 	// The stored config drops the worker-pool knobs (consumed by Train's
 	// sub-trainers): like every trained component, a Framework's identity

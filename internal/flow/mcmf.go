@@ -1,9 +1,6 @@
 package flow
 
-import (
-	"container/heap"
-	"math"
-)
+import "math"
 
 // MinCostMaxFlow computes the minimum-cost maximum s→t flow via
 // successive shortest augmenting paths, using Dijkstra on reduced costs
@@ -34,9 +31,9 @@ func (g *Network) MinCostMaxFlow(s, t int) (flow int, cost float64) {
 		}
 		dist[s] = 0
 		pq.items = pq.items[:0]
-		heap.Push(pq, heapItem{node: int32(s), dist: 0})
-		for pq.Len() > 0 {
-			it := heap.Pop(pq).(heapItem)
+		pq.push(heapItem{node: int32(s), dist: 0})
+		for len(pq.items) > 0 {
+			it := pq.pop()
 			u := int(it.node)
 			if visited[u] {
 				continue
@@ -59,7 +56,7 @@ func (g *Network) MinCostMaxFlow(s, t int) (flow int, cost float64) {
 				if nd < dist[v] {
 					dist[v] = nd
 					prevEdge[v] = id
-					heap.Push(pq, heapItem{node: e.to, dist: nd})
+					pq.push(heapItem{node: e.to, dist: nd})
 				}
 			}
 		}
@@ -102,18 +99,48 @@ type heapItem struct {
 	dist float64
 }
 
+// floatHeap is a binary min-heap on dist. push and pop run
+// container/heap's exact up/down sift sequence, so items of equal dist
+// pop in the same order they would through heap.Push/heap.Pop, without
+// boxing every item into an interface on the way in and out.
 type floatHeap struct {
 	items []heapItem
 }
 
-func (h *floatHeap) Len() int           { return len(h.items) }
-func (h *floatHeap) Less(i, j int) bool { return h.items[i].dist < h.items[j].dist }
-func (h *floatHeap) Swap(i, j int)      { h.items[i], h.items[j] = h.items[j], h.items[i] }
-func (h *floatHeap) Push(x interface{}) { h.items = append(h.items, x.(heapItem)) }
-func (h *floatHeap) Pop() interface{} {
-	old := h.items
-	n := len(old)
-	it := old[n-1]
-	h.items = old[:n-1]
-	return it
+func (h *floatHeap) push(it heapItem) {
+	h.items = append(h.items, it)
+	q := h.items
+	j := len(q) - 1
+	for {
+		i := (j - 1) / 2 // parent
+		if i == j || !(q[j].dist < q[i].dist) {
+			break
+		}
+		q[i], q[j] = q[j], q[i]
+		j = i
+	}
+}
+
+func (h *floatHeap) pop() heapItem {
+	q := h.items
+	n := len(q) - 1
+	q[0], q[n] = q[n], q[0]
+	i := 0
+	for {
+		j1 := 2*i + 1
+		if j1 >= n || j1 < 0 { // j1 < 0 after int overflow
+			break
+		}
+		j := j1 // left child
+		if j2 := j1 + 1; j2 < n && q[j2].dist < q[j1].dist {
+			j = j2 // right child
+		}
+		if !(q[j].dist < q[i].dist) {
+			break
+		}
+		q[i], q[j] = q[j], q[i]
+		i = j
+	}
+	h.items = q[:n]
+	return q[n]
 }

@@ -2,6 +2,7 @@ package influence
 
 import (
 	"fmt"
+	"math"
 	"reflect"
 	"strings"
 	"testing"
@@ -15,17 +16,22 @@ import (
 )
 
 // eagerRow is the willingness row the session computed for every task
-// before fills became on demand: Pwil(u, loc) for every graph user, and
-// the column sum accumulated in ascending user order. It is the reference
-// the on-demand fill is checked against.
-func eagerRow(models []*mobility.WorkerModel, loc geo.Point) ([]float32, float64) {
-	row := make([]float32, len(models))
+// before fills became on demand: Pwil(u, loc) for every one of the nU
+// graph users, evaluated with math.Pow over the kernel's (truncated)
+// models, and the column sum accumulated in ascending user order. It is
+// the reference the on-demand kernel fill is checked against.
+func eagerRow(wil *mobility.Kernel, nU int, loc geo.Point) ([]float32, float64) {
+	row := make([]float32, nU)
 	sum := 0.0
-	for u, wm := range models {
+	for u := range nU {
+		wm := wil.Worker(u)
 		if wm == nil {
 			continue
 		}
-		v := wm.Willingness(loc)
+		v := 0.0
+		for i, p := range wm.Locs {
+			v += wm.Stationary[i] * math.Pow(geo.Dist(p, loc)+1, -wm.Shape)
+		}
 		row[u] = float32(v)
 		sum += v
 	}
@@ -40,13 +46,13 @@ func eagerEvaluator(eng *Engine, inst *model.Instance, comps Components, seed ui
 	if comps&Willingness == 0 {
 		return ev
 	}
-	models := eng.truncatedModels(1)
-	full := make([]uint64, (len(models)+63)/64)
+	nU := eng.Prop.Graph().N()
+	full := make([]uint64, (nU+63)/64)
 	for k := range full {
 		full[k] = ^uint64(0)
 	}
 	for j, task := range inst.Tasks {
-		ev.wilRows[j], ev.wilColSum[j] = eagerRow(models, task.Loc)
+		ev.wilRows[j], ev.wilColSum[j] = eagerRow(eng.Wil, nU, task.Loc)
 		ev.wilFill[j] = full
 	}
 	return ev

@@ -21,7 +21,6 @@ import (
 	"dita/internal/lda"
 	"dita/internal/mobility"
 	"dita/internal/model"
-	"dita/internal/parallel"
 	"dita/internal/rrr"
 )
 
@@ -93,19 +92,19 @@ func ParseComponents(s string) (Components, error) {
 type Engine struct {
 	// Prop is the RRR collection over the full social graph.
 	Prop *rrr.Collection
-	// Wil is the fitted Historical Acceptance model.
-	Wil *mobility.Model
+	// Wil is the willingness kernel over the graph's users, built once
+	// from the fitted Historical Acceptance model (mobility.NewKernel)
+	// and shared read-only by every session. Its top-locations bound caps
+	// how many of a worker's highest-stationary-mass locations each entry
+	// Pwil(u, s) sums over: it bounds the cost of every computed entry
+	// (entries are computed on demand, see Session) and preserves ≥95% of
+	// the mass on heavy-tailed visit distributions.
+	Wil *mobility.Kernel
 	// LDA is the trained topic model; ThetaUser[u] is user u's
 	// document-topic distribution (nil or uniform when the user has no
 	// history).
 	LDA       *lda.Model
 	ThetaUser [][]float64
-	// TopLocations caps how many of a worker's highest-stationary-mass
-	// locations each willingness entry Pwil(u, s) sums over; 0 means all.
-	// The truncation bounds the cost of every computed entry (entries are
-	// computed on demand, see Session) and preserves ≥95% of the mass on
-	// heavy-tailed visit distributions.
-	TopLocations int
 }
 
 // rootCount is a compacted view of the RRR cover of one instance worker:
@@ -159,60 +158,6 @@ type Evaluator struct {
 // cores; the result is bit-identical at any pool width.
 func (e *Engine) Prepare(inst *model.Instance, pairs []assign.Pair, comps Components, seed uint64) *Evaluator {
 	return e.NewSession(comps, seed, 0).Evaluate(inst, pairs)
-}
-
-// truncatedModels returns per-user willingness models limited to the
-// TopLocations highest-stationary-probability locations, building them
-// on the shared pool (each user writes only its own slot).
-func (e *Engine) truncatedModels(par int) []*mobility.WorkerModel {
-	nU := e.Prop.Graph().N()
-	out := make([]*mobility.WorkerModel, nU)
-	parallel.For(par, nU, func(_, u int) {
-		wm := e.Wil.Worker(model.WorkerID(u))
-		if wm == nil {
-			return
-		}
-		if e.TopLocations <= 0 || len(wm.Locs) <= e.TopLocations {
-			out[u] = wm
-			return
-		}
-		out[u] = truncateModel(wm, e.TopLocations)
-	})
-	return out
-}
-
-func truncateModel(wm *mobility.WorkerModel, top int) *mobility.WorkerModel {
-	type ip struct {
-		i int
-		p float64
-	}
-	items := make([]ip, len(wm.Stationary))
-	for i, p := range wm.Stationary {
-		items[i] = ip{i, p}
-	}
-	// Partial selection of the top locations (selection sort over `top`
-	// slots; top is a small constant).
-	for a := 0; a < top; a++ {
-		best := a
-		for b := a + 1; b < len(items); b++ {
-			if items[b].p > items[best].p {
-				best = b
-			}
-		}
-		items[a], items[best] = items[best], items[a]
-	}
-	t := &mobility.WorkerModel{Shape: wm.Shape}
-	mass := 0.0
-	for _, it := range items[:top] {
-		mass += it.p
-	}
-	for _, it := range items[:top] {
-		t.Locs = append(t.Locs, wm.Locs[it.i])
-		// Renormalize so the stationary distribution stays a
-		// distribution after truncation.
-		t.Stationary = append(t.Stationary, it.p/mass)
-	}
-	return t
 }
 
 func compactRoots(c *rrr.Collection, user int32) []rootCount {

@@ -51,6 +51,13 @@ func worldTask(id, comm int, dx float64) model.Task {
 // idle-th user has no history, hence no willingness model.
 func newWorld(t testing.TB, nU, degree, idle int) *Engine {
 	t.Helper()
+	return newWorldTop(t, nU, degree, idle, 0)
+}
+
+// newWorldTop is newWorld with each willingness entry summed over at most
+// top of a worker's locations (0 keeps all).
+func newWorldTop(t testing.TB, nU, degree, idle, top int) *Engine {
+	t.Helper()
 	g := socialgraph.GeneratePreferentialAttachment(nU, degree, randx.New(1))
 
 	rng := randx.New(2)
@@ -94,7 +101,7 @@ func newWorld(t testing.TB, nU, degree, idle int) *Engine {
 
 	return &Engine{
 		Prop:      rrr.Build(g, rrr.Params{Seed: 4}),
-		Wil:       mobility.Fit(histories, mobility.Config{}),
+		Wil:       mobility.NewKernel(mobility.Fit(histories, mobility.Config{}), nU, top),
 		LDA:       ldaModel,
 		ThetaUser: theta,
 	}
@@ -284,9 +291,7 @@ func TestAffinityDrivesSemanticMatch(t *testing.T) {
 func TestTopLocationsTruncationCloseToExact(t *testing.T) {
 	eng, inst := testWorld(t)
 	exact := eng.Prepare(inst, crossPairs(inst), All, 7)
-	eng.TopLocations = 3
-	truncated := eng.Prepare(inst, crossPairs(inst), All, 7)
-	eng.TopLocations = 0
+	truncated := newWorldTop(t, 30, 2, 0, 3).Prepare(inst, crossPairs(inst), All, 7)
 	var maxRel float64
 	for w := 0; w < len(inst.Workers); w++ {
 		for s := 0; s < len(inst.Tasks); s++ {

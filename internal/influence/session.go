@@ -101,11 +101,8 @@ type Session struct {
 	// positive; see SetCapacity.
 	capacity int
 	scale    float64
-	// models are the (lazily built, truncation-applied) per-user
-	// willingness models shared by every instant of the session.
-	models []*mobility.WorkerModel
-	tasks  map[uint64]*taskState
-	users  map[int32]*userState
+	tasks    map[uint64]*taskState
+	users    map[int32]*userState
 
 	// pendT/pendU are reusable scratch lists of cache misses; the
 	// parallel fresh-work phase iterates them by index.
@@ -119,6 +116,8 @@ type Session struct {
 	pairW   []int32
 	fillSt  []*taskState
 	fillN   []int
+	// scratch[w] is pool worker w's willingness-kernel scratch.
+	scratch []*mobility.Scratch
 	// wilEntries counts willingness entries computed over the session's
 	// life (one Pwil(u, s) evaluation each).
 	wilEntries uint64
@@ -350,10 +349,11 @@ func (s *Session) admitTasks(inst *model.Instance) {
 // root of w's cover except w's own user; without propagation (IA-AW) it
 // reads the column sum, so a paired task's row is filled completely. The
 // pairs are regrouped by task and the fill runs one task per pool item,
-// so each item writes only its own row and bitset.
+// so each item writes only its own row and bitset; each pool worker
+// evaluates the shared kernel through its own scratch.
 func (s *Session) fillWillingness(inst *model.Instance, ev *Evaluator, pairs []assign.Pair) {
-	if s.models == nil {
-		s.models = s.eng.truncatedModels(s.par)
+	for len(s.scratch) < s.par {
+		s.scratch = append(s.scratch, s.eng.Wil.NewScratch())
 	}
 	nT := len(inst.Tasks)
 	s.fillSt = s.fillSt[:0]
@@ -382,27 +382,25 @@ func (s *Session) fillWillingness(inst *model.Instance, ev *Evaluator, pairs []a
 
 	s.fillN = zeroed(s.fillN, nT)
 	full := s.comps&Propagation == 0
-	nU := len(s.models)
-	parallel.For(s.par, nT, func(_, t int) {
+	nU := s.eng.Prop.Graph().N()
+	wil := s.eng.Wil
+	parallel.For(s.par, nT, func(worker, t int) {
 		lo, hi := s.pairOff[t], s.pairOff[t+1]
 		if lo == hi {
 			return
 		}
-		st, loc := s.fillSt[t], inst.Tasks[t].Loc
+		st, loc, sc := s.fillSt[t], inst.Tasks[t].Loc, s.scratch[worker]
 		if full {
 			// Under IA-AW only this complete fill allocates a row. The
 			// column sum accumulates the float64 entries in ascending user
-			// order.
+			// order; a user without a model adds an exact zero.
 			if st.row != nil {
 				return
 			}
 			st.row = make([]float32, nU)
 			sum := 0.0
-			for u, wm := range s.models {
-				if wm == nil {
-					continue
-				}
-				v := wm.Willingness(loc)
+			for u := range nU {
+				v := wil.Willingness(u, loc, sc)
 				st.row[u] = float32(v)
 				sum += v
 			}
@@ -424,9 +422,7 @@ func (s *Session) fillWillingness(inst *model.Instance, ev *Evaluator, pairs []a
 				if st.row == nil {
 					st.row = make([]float32, nU)
 				}
-				if wm := s.models[u]; wm != nil {
-					st.row[u] = float32(wm.Willingness(loc))
-				}
+				st.row[u] = float32(wil.Willingness(int(u), loc, sc))
 				st.filled[u>>6] |= 1 << (uint(u) & 63)
 				n++
 			}

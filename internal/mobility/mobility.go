@@ -19,6 +19,40 @@
 // The willingness is Equation 2:
 //
 //	Pwil(w,s) = Σ_i Pw(w,si) · (d(si,s)+1)^(−π)
+//
+// # The willingness kernel
+//
+// Kernel is the one production evaluator of Equation 2; the math.Pow
+// form it replaces is kept in the tests as its reference. Every term is
+// Pow(x, y) with a base x = d(si,s)+1 ≥ 1 and the worker's exponent
+// y = −π. Go's pow reads y only through its special-case tests and
+// Modf(|y|), and reads x only through its special-case tests, Log(x)
+// (for the fractional power) and Frexp(x) (for the integer power's
+// squaring chain). The kernel splits the work along those lines:
+//
+//   - the exponent {y, yi, yf} is split once per worker, when the kernel
+//     is built;
+//   - the base {x, Log(x), Frexp(x)}, with the distance, is computed once
+//     per (venue, task location) and shared by every worker who visited
+//     the venue — history locations are interned, and the BK preset's
+//     ~29.6 k location references name only ~3.2 k distinct venues;
+//   - each term runs what is left of pow: Exp(yf·Log(x)), the integer
+//     squaring loop and Ldexp.
+//
+// The split is exact, not an approximation: each term runs the floating
+// point operations math.Pow would run on (x, y), on the same operands, in
+// the same order and through the same math.Exp, Log, Frexp and Ldexp, so
+// it has math.Pow's bits; and the terms are summed in the model's
+// location order, as the math.Pow form sums them. The pairs pow answers
+// before splitting (x == 1, a non-finite x, y ∈ {0, 1, ±0.5}, a
+// non-finite or huge y) call math.Pow itself. TestWillingnessKernelMatchesPow
+// checks Float64bits equality on a fitted BK model.
+//
+// Measured on a 2-core box (go1.24, amd64): BenchmarkWillingness on the
+// BK model truncated to 8 locations evaluates an entry in 525–552 ns
+// against 925–964 ns for the math.Pow form, and the in-process 8k-arrival
+// stream replay (dita-sim -stream -arrivals 8000) drops from 17.5 to
+// 11.9 user CPU-s with a byte-identical assignment CSV.
 package mobility
 
 import (
@@ -81,18 +115,6 @@ type WorkerModel struct {
 	Shape      float64
 }
 
-// Willingness evaluates Equation 2 at the given task location. A worker
-// with no history has zero willingness everywhere (they have never
-// accepted anything).
-func (wm *WorkerModel) Willingness(loc geo.Point) float64 {
-	sum := 0.0
-	for i, p := range wm.Locs {
-		d := geo.Dist(p, loc)
-		sum += wm.Stationary[i] * math.Pow(d+1, -wm.Shape)
-	}
-	return sum
-}
-
 // Model holds fitted worker models keyed by stable user id.
 type Model struct {
 	cfg     Config
@@ -132,16 +154,6 @@ func Fit(histories map[model.WorkerID]model.History, cfg Config) *Model {
 // Worker returns the fitted model for a user, or nil when the user has no
 // history.
 func (m *Model) Worker(id model.WorkerID) *WorkerModel { return m.workers[id] }
-
-// Willingness returns Pwil(w, s) for user id and a task location; zero
-// when the user has no history.
-func (m *Model) Willingness(id model.WorkerID, loc geo.Point) float64 {
-	wm := m.workers[id]
-	if wm == nil {
-		return 0
-	}
-	return wm.Willingness(loc)
-}
 
 // NumWorkers returns how many workers have fitted models.
 func (m *Model) NumWorkers() int { return len(m.workers) }
@@ -339,10 +351,12 @@ func (m *Model) Wire() Wire {
 
 // FromWire rebuilds a fitted model from its serialized form. Worker ids
 // must be strictly ascending (the canonical order Wire emits; it also
-// rules out duplicate entries silently overwriting each other) and each
-// worker's location and stationary vectors must align. The Parallelism
-// knob is forced to zero, as Fit does: it is a runtime choice, not
-// model identity.
+// rules out duplicate entries silently overwriting each other), each
+// worker's location and stationary vectors must align, and every value
+// must be one Fit can produce: a finite positive shape, finite
+// coordinates and finite non-negative stationary probabilities. The
+// Parallelism knob is forced to zero, as Fit does: it is a runtime
+// choice, not model identity.
 func FromWire(w Wire) (*Model, error) {
 	cfg := w.Config
 	cfg.Parallelism = 0
@@ -357,7 +371,20 @@ func FromWire(w Wire) (*Model, error) {
 		if len(ww.Locs) != len(ww.Stationary) {
 			return nil, fmt.Errorf("mobility: wire worker %d has %d locations but %d stationary probabilities", ww.ID, len(ww.Locs), len(ww.Stationary))
 		}
+		if !(ww.Shape > 0) || math.IsInf(ww.Shape, 1) {
+			return nil, fmt.Errorf("mobility: wire worker %d has shape %v; a Pareto shape must be finite and positive", ww.ID, ww.Shape)
+		}
+		for j, p := range ww.Locs {
+			if !finite(p.X) || !finite(p.Y) {
+				return nil, fmt.Errorf("mobility: wire worker %d location %d is (%v, %v); coordinates must be finite", ww.ID, j, p.X, p.Y)
+			}
+			if pi := ww.Stationary[j]; !(pi >= 0) || math.IsInf(pi, 1) {
+				return nil, fmt.Errorf("mobility: wire worker %d stationary probability %d is %v; it must be finite and non-negative", ww.ID, j, pi)
+			}
+		}
 		m.workers[ww.ID] = &WorkerModel{Locs: ww.Locs, Stationary: ww.Stationary, Shape: ww.Shape}
 	}
 	return m, nil
 }
+
+func finite(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }

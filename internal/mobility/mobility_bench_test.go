@@ -39,15 +39,43 @@ func BenchmarkFit(b *testing.B) {
 }
 
 // BenchmarkWillingness measures one Pwil(w, s) evaluation — the unit of
-// work of every willingness entry the influence session fills.
+// work of every willingness entry the influence session fills — on the
+// BK preset's model truncated to 8 locations per worker, as the CLIs
+// train it. Each iteration fills one task location's entry for every
+// user, as a full row fill does; "kernel" is the production Kernel,
+// "pow" the math.Pow reference on the same truncated models.
 func BenchmarkWillingness(b *testing.B) {
-	hists := benchHistories(100, 30, 1)
-	m := Fit(hists, Config{})
-	loc := geo.Point{X: 150, Y: 150}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		m.Willingness(model.WorkerID(i%100), loc)
+	m, users, tasks := bkFixture(b, 1)
+	k := NewKernel(m, users, 8)
+	models := make([]*WorkerModel, users)
+	for u := range models {
+		models[u] = k.Worker(u)
 	}
+	b.Run("kernel", func(b *testing.B) {
+		sc := k.NewScratch()
+		i := 0
+		for b.Loop() {
+			loc := tasks[i%len(tasks)]
+			for u := 0; u < users; u++ {
+				k.Willingness(u, loc, sc)
+			}
+			i++
+		}
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(i*users), "ns/entry")
+	})
+	b.Run("pow", func(b *testing.B) {
+		i := 0
+		for b.Loop() {
+			loc := tasks[i%len(tasks)]
+			for _, wm := range models {
+				if wm != nil {
+					wm.Willingness(loc)
+				}
+			}
+			i++
+		}
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(i*users), "ns/entry")
+	})
 }
 
 // BenchmarkFitParallel measures per-worker HA fitting at several pool

@@ -271,3 +271,44 @@ func TestFitDoesNotRetainParallelism(t *testing.T) {
 		t.Errorf("model retained Parallelism %d; the knob is not part of model identity", m.cfg.Parallelism)
 	}
 }
+
+// TestFromWireRejects: a wire model FromWire accepts holds only values
+// Fit can produce, so a corrupt or hand-edited artifact cannot hand the
+// willingness kernel a shape, coordinate or probability outside its
+// domain.
+func TestFromWireRejects(t *testing.T) {
+	valid := func() WorkerWire {
+		return WorkerWire{ID: 1, Locs: []geo.Point{{X: 1, Y: 2}, {X: 3, Y: 4}}, Stationary: []float64{0.25, 0.75}, Shape: 1.5}
+	}
+	if _, err := FromWire(Wire{Workers: []WorkerWire{valid()}}); err != nil {
+		t.Fatalf("valid wire rejected: %v", err)
+	}
+	nan, inf := math.NaN(), math.Inf(1)
+	cases := []struct {
+		name string
+		edit func(w *WorkerWire)
+	}{
+		{"no locations", func(w *WorkerWire) { w.Locs, w.Stationary = nil, nil }},
+		{"misaligned stationary", func(w *WorkerWire) { w.Stationary = w.Stationary[:1] }},
+		{"zero shape", func(w *WorkerWire) { w.Shape = 0 }},
+		{"negative shape", func(w *WorkerWire) { w.Shape = -2 }},
+		{"NaN shape", func(w *WorkerWire) { w.Shape = nan }},
+		{"infinite shape", func(w *WorkerWire) { w.Shape = inf }},
+		{"NaN x", func(w *WorkerWire) { w.Locs[1].X = nan }},
+		{"infinite y", func(w *WorkerWire) { w.Locs[0].Y = -inf }},
+		{"NaN stationary", func(w *WorkerWire) { w.Stationary[0] = nan }},
+		{"infinite stationary", func(w *WorkerWire) { w.Stationary[1] = inf }},
+		{"negative stationary", func(w *WorkerWire) { w.Stationary[0] = -0.25 }},
+	}
+	for _, tc := range cases {
+		w := valid()
+		tc.edit(&w)
+		if _, err := FromWire(Wire{Workers: []WorkerWire{w}}); err == nil {
+			t.Errorf("%s: FromWire accepted %+v", tc.name, w)
+		}
+	}
+	dup := Wire{Workers: []WorkerWire{valid(), valid()}}
+	if _, err := FromWire(dup); err == nil {
+		t.Error("FromWire accepted duplicate worker ids")
+	}
+}
